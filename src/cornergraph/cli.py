@@ -27,14 +27,21 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import metrics, scenarios, sim
-from .extended import ConsistentArgmax, Threshold, attach_predictions, decode_prediction, extend
+from .extended import (
+    ConsistentArgmax,
+    NodeMismatch,
+    Threshold,
+    attach_predictions,
+    decode_prediction,
+    extend,
+)
 from .frames import build_scene_graph
 from .graphs import SchemaError, graph_from_json, graph_to_json
 from .model import (
     ModelDims,
     SchemaVersionMismatch,
     checkpoint_from_json,
-    predict_probs,
+    predict_each,
     save_checkpoint,
 )
 from .training import TrainConfig, scenario_split, pooled_predictions, train
@@ -375,13 +382,18 @@ def cmd_perturb(args) -> int:
 
     corpus, _ = scenarios.read_corpus(data)
     _, params = _load_checkpoint_obj(model_path)
+    instances = (
+        extend(
+            build_scene_graph(scenario.frames[frame]),
+            target_frame=scenario.horizon,
+            scenario_id=scenario.id,
+        )
+        for scenario in corpus
+    )
     with open(out, "w") as fh:
-        for scenario in corpus:
-            graph = build_scene_graph(scenario.frames[frame])
-            ext = extend(graph, target_frame=scenario.horizon, scenario_id=scenario.id)
-            ext = attach_predictions(ext, predict_probs(params, ext))
-            decoded = decode_prediction(ext, mode)
-            record = {"scenario_id": scenario.id, "graph": graph_to_json(decoded)}
+        for ext, probs in predict_each(params, instances):
+            decoded = decode_prediction(attach_predictions(ext, probs), mode)
+            record = {"scenario_id": ext.scenario_id, "graph": graph_to_json(decoded)}
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
     _write_meta(out, provenance(cfg, None))
@@ -435,9 +447,11 @@ def cmd_simulate(args) -> int:
     for scenario in corpus:
         regular = build_scene_graph(scenario.frames[frame])
         target = predicted.get(scenario.id, regular)
-        executables.append(
-            sim.realize(regular, target, scenario.layout, scenario_id=scenario.id)
-        )
+        try:
+            executable = sim.realize(regular, target, scenario.layout, scenario_id=scenario.id)
+        except NodeMismatch as err:
+            raise SchemaError(f"predicted graph of scenario {scenario.id}: {err}") from err
+        executables.append(executable)
     results = sim.simulate_batch(executables, profiles, dt=dt, horizon=horizon)
     report = sim.scr_report(results)
     matched = sum(e.fidelity[0] for e in executables)

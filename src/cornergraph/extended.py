@@ -14,13 +14,13 @@ from typing import Iterable, Sequence
 
 from .graphs import (
     Edge,
+    LICENSED_TRIPLES,
     RELATION_ORDINAL,
     RelationCategory,
     SceneGraph,
     SchemaError,
     graph_from_json,
     graph_to_json,
-    licensed,
     validate_grammar,
 )
 
@@ -33,7 +33,7 @@ class MissingPredictions(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateEdge:
     head: int
     relation: RelationCategory
@@ -72,21 +72,32 @@ class ExtendedGraph:
         return out
 
 
+def _relations_by_pair() -> dict:
+    """(head category, tail category) -> licensed relations, in ordinal order."""
+    table: dict = {}
+    for head, relation, tail in sorted(
+        LICENSED_TRIPLES, key=lambda t: RELATION_ORDINAL[t[1]]
+    ):
+        table.setdefault((head, tail), []).append(relation)
+    return {pair: tuple(relations) for pair, relations in table.items()}
+
+
+_RELATIONS_BY_PAIR = _relations_by_pair()
+
+
 def enumerate_candidates(graph: SceneGraph) -> list:
     """Every grammar-licensed cross-edge over the graph's nodes, sorted by
     (head id, tail id, relation ordinal)."""
     out = []
     cats = [node.category for node in graph.nodes]
-    for head in range(len(cats)):
-        for tail in range(len(cats)):
+    # ids ascend in both loops and each pair's relations in ordinal order, so
+    # the list comes out sorted
+    for head, head_cat in enumerate(cats):
+        for tail, tail_cat in enumerate(cats):
             if head == tail:
                 continue
-            for relation in RelationCategory:
-                if relation is RelationCategory.SELF_STATE:
-                    continue
-                if licensed(cats[head], relation, cats[tail]):
-                    out.append(CandidateEdge(head=head, relation=relation, tail=tail))
-    out.sort(key=CandidateEdge.key)
+            for relation in _RELATIONS_BY_PAIR.get((head_cat, tail_cat), ()):
+                out.append(CandidateEdge(head, relation, tail))
     return out
 
 
@@ -115,7 +126,13 @@ def label_candidates(ext: ExtendedGraph, ground_truth: SceneGraph) -> ExtendedGr
         if e.relation is not RelationCategory.SELF_STATE
     }
     labeled = tuple(
-        replace(c, label=1 if (c.head, c.relation, c.tail) in present else 0)
+        CandidateEdge(
+            c.head,
+            c.relation,
+            c.tail,
+            1 if (c.head, c.relation, c.tail) in present else 0,
+            c.predicted_prob,
+        )
         for c in ext.candidates
     )
     return replace(ext, candidates=labeled)
@@ -127,7 +144,8 @@ def attach_predictions(ext: ExtendedGraph, probs: Sequence[float]) -> ExtendedGr
             f"{len(probs)} probabilities for {len(ext.candidates)} candidates"
         )
     updated = tuple(
-        replace(c, predicted_prob=float(p)) for c, p in zip(ext.candidates, probs)
+        CandidateEdge(c.head, c.relation, c.tail, c.label, float(p))
+        for c, p in zip(ext.candidates, probs)
     )
     return replace(ext, candidates=updated)
 

@@ -15,8 +15,9 @@ state get a synthetic self-loop during graph preparation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -236,6 +237,62 @@ def _mlp(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
     return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
+#: instances compiled and scored together on the inference paths; a larger
+#: chunk holds more temporaries of the forward pass alive at once
+BATCH_SIZE = 32
+
+
+@dataclass(frozen=True)
+class GraphBatch:
+    """Model inputs of a disjoint union of extended graphs, as index arrays.
+
+    Node ids of each graph are shifted by the node count of the graphs before
+    it, so no edge or candidate crosses graphs and one pass over the union
+    equals one pass per graph.  Candidate rows of graph ``k`` are
+    ``bounds[k]:bounds[k + 1]``.
+    """
+
+    node_feats: np.ndarray  # (n, NODE_FEATURE_SIZE)
+    dst: np.ndarray  # (m,) attention edges, in prepare_attention_graph order
+    src: np.ndarray  # (m,)
+    edge_attrs: np.ndarray  # (m, EDGE_FEATURE_SIZE)
+    kg_attrs: np.ndarray  # (q, EDGE_FEATURE_SIZE) candidate relations
+    heads: np.ndarray  # (q,)
+    tails: np.ndarray  # (q,)
+    bounds: np.ndarray  # (graphs + 1,)
+
+
+def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
+    """Compile extended graphs into one ``GraphBatch``, preparing each graph's
+    attention edges once."""
+    feats, dsts, srcs, attrs, kg_attrs, heads, tails = [], [], [], [], [], [], []
+    bounds = [0]
+    offset = 0
+    for ext in instances:
+        graph = ext.base
+        dst, src, edge_attrs = prepare_attention_graph(graph)
+        feats.extend(node_feature_vector(node) for node in graph.nodes)
+        dsts.append(dst + offset)
+        srcs.append(src + offset)
+        attrs.append(edge_attrs)
+        for c in ext.candidates:
+            kg_attrs.append(cross_edge_feature(c.relation))
+            heads.append(c.head + offset)
+            tails.append(c.tail + offset)
+        offset += len(graph.nodes)
+        bounds.append(len(heads))
+    return GraphBatch(
+        node_feats=np.stack(feats),
+        dst=np.concatenate(dsts),
+        src=np.concatenate(srcs),
+        edge_attrs=np.concatenate(attrs),
+        kg_attrs=np.stack(kg_attrs) if kg_attrs else np.zeros((0, EDGE_FEATURE_SIZE)),
+        heads=np.array(heads, dtype=np.int64),
+        tails=np.array(tails, dtype=np.int64),
+        bounds=np.array(bounds, dtype=np.int64),
+    )
+
+
 def attend(
     h: Tensor,
     dst: np.ndarray,
@@ -254,10 +311,10 @@ def attend(
     then summed per destination.
     """
     n = h.data.shape[0]
-    covered = set(int(d) for d, s in zip(dst, src) if d == s)
-    missing = [i for i in range(n) if i not in covered]
-    if missing:
-        raise MissingSelfEdge(f"nodes {missing} have no self-edge")
+    covered = np.zeros(n, dtype=bool)
+    covered[dst[dst == src]] = True
+    if not covered.all():
+        raise MissingSelfEdge(f"nodes {np.flatnonzero(~covered).tolist()} have no self-edge")
 
     z = ad.linear(h, theta)
     zp = ad.linear(p, theta_p)
@@ -288,38 +345,35 @@ def gat_layer(h, edges: Sequence, theta, theta_p, att) -> Tensor:
     return attend(h, dst, src, p, theta, theta_p, att)
 
 
-def encode(params: ModelParams, ext: ExtendedGraph):
+def encode(params: ModelParams, batch: GraphBatch):
     """Scalar encodings: per-node, per-attention-edge, per-candidate.
 
-    Returns ``(h, p, p_kg)`` with shapes (n,1), (m,1), (q,1); ``p`` aligns
-    with ``prepare_attention_graph``'s edge order and ``p_kg`` with the
-    candidate order.
+    Returns ``(h, p, p_kg)`` with shapes (n,1), (m,1), (q,1), aligned with
+    the batch's nodes, attention edges and candidates.
     """
-    graph = ext.base
-    x = Tensor(np.stack([node_feature_vector(node) for node in graph.nodes]))
-    dst, src, attrs = prepare_attention_graph(graph)
-    kg_attrs = np.stack(
-        [cross_edge_feature(c.relation) for c in ext.candidates]
-    ) if ext.candidates else np.zeros((0, EDGE_FEATURE_SIZE))
-    h = _mlp(params, "enc_node", x)
-    p = _mlp(params, "enc_edge", Tensor(attrs))
-    p_kg = _mlp(params, "enc_kg", Tensor(kg_attrs))
+    h = _mlp(params, "enc_node", Tensor(batch.node_feats))
+    p = _mlp(params, "enc_edge", Tensor(batch.edge_attrs))
+    p_kg = _mlp(params, "enc_kg", Tensor(batch.kg_attrs))
     return h, p, p_kg
 
 
-def forward(params: ModelParams, ext: ExtendedGraph) -> Tensor:
-    """Probability per candidate, aligned with ``ext.candidates``."""
-    graph = ext.base
-    dst, src, _ = prepare_attention_graph(graph)
-    h, p, p_kg = encode(params, ext)
+def forward(params: ModelParams, ext: ExtendedGraph | GraphBatch) -> Tensor:
+    """Probability per candidate, aligned with ``ext.candidates``.
+
+    ``ext`` is one extended graph, scored as a batch of one, or a compiled
+    ``GraphBatch``, whose graphs' candidates come out one graph after another.
+    """
+    batch = ext if isinstance(ext, GraphBatch) else compile_batch([ext])
+    dst, src = batch.dst, batch.src
+    h, p, p_kg = encode(params, batch)
 
     h1 = attend(h, dst, src, p, params["gat1.theta"], params["gat1.theta_p"], params["gat1.att"])
     z = ad.elu(_mlp(params, "mid", h1))
     h2 = attend(z, dst, src, p, params["gat2.theta"], params["gat2.theta_p"], params["gat2.att"])
 
-    heads = np.array([c.head for c in ext.candidates], dtype=np.int64)
-    tails = np.array([c.tail for c in ext.candidates], dtype=np.int64)
-    triple_in = ad.hstack([ad.gather_rows(h2, heads), p_kg, ad.gather_rows(h2, tails)])
+    triple_in = ad.hstack(
+        [ad.gather_rows(h2, batch.heads), p_kg, ad.gather_rows(h2, batch.tails)]
+    )
     logits = _mlp(params, "triple", triple_in)
     return ad.sigmoid(ad.flatten(logits))
 
@@ -327,6 +381,19 @@ def forward(params: ModelParams, ext: ExtendedGraph) -> Tensor:
 def predict_probs(params: ModelParams, ext: ExtendedGraph) -> np.ndarray:
     """Forward pass without gradient recording."""
     return forward(params, ext).data
+
+
+def predict_each(params: ModelParams, instances: Iterable[ExtendedGraph]):
+    """Yield ``(instance, candidate probabilities)`` pairs in input order.
+
+    Instances are drawn, compiled and scored ``BATCH_SIZE`` at a time, so
+    only one chunk's instances and arrays need be alive at once.
+    """
+    it = iter(instances)
+    while chunk := list(islice(it, BATCH_SIZE)):
+        batch = compile_batch(chunk)
+        probs = forward(params, batch).data
+        yield from zip(chunk, np.split(probs, batch.bounds[1:-1]))
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -348,6 +415,8 @@ def checkpoint_to_json(params: ModelParams, extra: dict | None = None) -> dict:
 
 
 def checkpoint_from_json(obj: dict) -> ModelParams:
+    if not isinstance(obj, dict):
+        raise SchemaVersionMismatch("checkpoint must be a JSON object")
     version = obj.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise SchemaVersionMismatch(
@@ -358,15 +427,26 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
         raise SchemaVersionMismatch(
             f"checkpoint feature layout {layout!r}, expected {FEATURE_LAYOUT_ID}"
         )
-    dims = ModelDims.from_json(obj["dims"])
+    try:
+        dims = ModelDims.from_json(obj["dims"])
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise SchemaVersionMismatch(f"checkpoint dims missing or malformed: {err!r}") from err
+    raw_tensors = obj.get("tensors")
+    if not isinstance(raw_tensors, dict):
+        raise SchemaVersionMismatch("checkpoint has no tensors")
     tensors = {}
     for name, shape in parameter_shapes(dims):
-        raw = obj["tensors"][name]
+        raw = raw_tensors.get(name)
+        if not isinstance(raw, dict) or "shape" not in raw or "data" not in raw:
+            raise SchemaVersionMismatch(f"checkpoint has no tensor {name}")
         if tuple(raw["shape"]) != shape:
             raise SchemaVersionMismatch(
                 f"tensor {name} has shape {raw['shape']}, expected {list(shape)}"
             )
-        data = np.asarray(raw["data"], dtype=np.float64).reshape(shape)
+        try:
+            data = np.asarray(raw["data"], dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as err:
+            raise SchemaVersionMismatch(f"tensor {name} data malformed: {err}") from err
         tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(dims, tensors)
 

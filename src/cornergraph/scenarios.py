@@ -522,7 +522,10 @@ def write_corpus(path, scenarios, meta: dict | None = None) -> None:
 
 def read_corpus(path) -> tuple:
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as err:  # not JSON, or not text
+            raise SchemaError(f"corpus {path} is not JSON: {err}") from err
     if not isinstance(obj, dict) or obj.get("schema_version") != 1:
         raise SchemaError(f"unsupported corpus schema in {path}")
     scenarios = [scenario_from_json(raw) for raw in obj["scenarios"]]

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .extended import ExtendedGraph
 from .metrics import sweep
-from .model import DEFAULT_DIMS, ModelDims, ModelParams, forward, predict_probs
+from .model import DEFAULT_DIMS, ModelDims, ModelParams, forward, predict_each
 
 
 class EmptyBatch(ValueError):
@@ -201,9 +201,10 @@ def _by_scenario(dataset, ids):
 
 
 def _mean_loss(params, instances, positive_weight):
+    """Mean of the per-instance losses, or None without instances."""
     losses = [
-        bce_loss(predict_probs(params, ext), np.asarray(ext.labels()), positive_weight)
-        for ext in instances
+        bce_loss(probs, np.asarray(ext.labels()), positive_weight)
+        for ext, probs in predict_each(params, instances)
     ]
     return float(np.mean(losses)) if losses else None
 
@@ -286,8 +287,8 @@ def pooled_predictions(params: ModelParams, instances: Sequence[ExtendedGraph]):
     """Concatenate per-candidate probabilities and labels across instances."""
     probs = []
     labels = []
-    for ext in instances:
-        probs.append(predict_probs(params, ext))
+    for ext, ext_probs in predict_each(params, instances):
+        probs.append(ext_probs)
         labels.append(np.asarray(ext.labels(), dtype=np.int64))
     if not probs:
         raise EmptyBatch("no instances to score")

@@ -3,7 +3,11 @@ import json
 import pytest
 
 from cornergraph.cli import main
-from cornergraph.scenarios import read_corpus
+from cornergraph.extended import attach_predictions, decode_prediction, extend
+from cornergraph.frames import build_scene_graph
+from cornergraph.graphs import graph_to_json
+from cornergraph.model import BATCH_SIZE, forward, load_checkpoint
+from cornergraph.scenarios import ground_truth_graph, read_corpus
 
 TINY_TRAIN = """
 # reduced settings so the suite stays fast
@@ -130,6 +134,27 @@ def test_perturb_emits_one_graph_per_scenario(pipeline):
         assert len(graph["edges"]) > 0
 
 
+def test_perturb_matches_decoding_one_scenario_at_a_time(pipeline, tmp_path):
+    corpus_path = str(tmp_path / "corpus.json")
+    decoded_path = str(tmp_path / "decoded.jsonl")
+    count = 2 * BATCH_SIZE + 6
+    assert main(["gen-data", "--count", str(count), "--seed", "13", "--out", corpus_path]) == 0
+    assert main([
+        "perturb", "--data", corpus_path, "--model", pipeline["model"],
+        "--mode", "argmax", "--out", decoded_path,
+    ]) == 0
+    corpus, _ = read_corpus(corpus_path)
+    params = load_checkpoint(pipeline["model"])
+    want = []
+    for scn in corpus:
+        ext = extend(build_scene_graph(scn.frames[0]), target_frame=scn.horizon, scenario_id=scn.id)
+        decoded = decode_prediction(attach_predictions(ext, forward(params, ext).data))
+        want.append({"scenario_id": scn.id, "graph": graph_to_json(decoded)})
+    got = [json.loads(line) for line in open(decoded_path).read().strip().split("\n")]
+    assert len(got) == count
+    assert got == want
+
+
 def test_simulate_report_shape(pipeline):
     obj = read_json(pipeline["scr"])
     assert obj["schema_version"] == 1
@@ -229,6 +254,56 @@ def test_tampered_checkpoint_schema_exits_3(pipeline, tmp_path, capsys):
     ])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "schema_version_mismatch"
+
+
+@pytest.mark.parametrize("drop", ["dims", "tensors", "gat1.att"])
+def test_incomplete_checkpoint_exits_3(pipeline, tmp_path, capsys, drop):
+    obj = read_json(pipeline["model"])
+    if drop in obj:
+        del obj[drop]
+    else:
+        del obj["tensors"][drop]
+    bad = tmp_path / "incomplete_model.json"
+    bad.write_text(json.dumps(obj))
+    code = main([
+        "eval", "--data", pipeline["corpus"], "--model", str(bad),
+        "--subset", "all", "--out", str(tmp_path / "e.json"),
+    ])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "schema_version_mismatch"
+
+
+def test_corpus_that_is_not_json_exits_3(pipeline, tmp_path, capsys):
+    bad = tmp_path / "corpus.txt"
+    bad.write_text("scenario corpus goes here\n")
+    code = main([
+        "eval", "--data", str(bad), "--model", pipeline["model"],
+        "--subset", "all", "--out", str(tmp_path / "e.json"),
+    ])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "schema_version_mismatch"
+
+
+def test_predicted_graph_with_other_nodes_exits_3(pipeline, tmp_path, capsys):
+    corpus, _ = read_corpus(pipeline["corpus"])
+    records = [
+        {"scenario_id": scn.id, "graph": graph_to_json(ground_truth_graph(scn))}
+        for scn in corpus
+    ]
+    graph = records[0]["graph"]
+    last = len(graph["nodes"]) - 1
+    graph["nodes"] = graph["nodes"][:-1]
+    graph["edges"] = [e for e in graph["edges"] if last not in (e["head"], e["tail"])]
+    bad = tmp_path / "predicted.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main([
+        "simulate", "--data", pipeline["corpus"], "--predicted", str(bad),
+        "--profiles", "Normal", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert records[0]["scenario_id"] in err["message"]
 
 
 def test_missing_data_exits_4(tmp_path, capsys):

@@ -15,6 +15,7 @@ from cornergraph.graphs import (
     sort_edges,
 )
 from cornergraph.model import (
+    BATCH_SIZE,
     CHECKPOINT_SCHEMA_VERSION,
     DEFAULT_DIMS,
     DEFAULT_PARAM_COUNT,
@@ -31,12 +32,14 @@ from cornergraph.model import (
     load_checkpoint,
     node_feature_vector,
     parameter_shapes,
+    predict_each,
     predict_probs,
     prepare_attention_graph,
     save_checkpoint,
     self_edge_feature,
 )
 from cornergraph.autodiff import MissingSelfEdge
+from cornergraph.scenarios import ScenarioTemplate, generate, to_instances
 
 
 def leaky(x, slope=0.2):
@@ -236,6 +239,46 @@ def test_forward_emits_one_probability_per_candidate(simple_frame, tiny_dims):
     assert probs.shape == (len(ext.candidates),)
     assert np.all((probs > 0.0) & (probs < 1.0))
     np.testing.assert_array_equal(probs, predict_probs(params, ext))
+
+
+def _isolated_node_instance():
+    """Ego in a lane, plus an object with no edge at all: its only attention
+    edge is the synthetic self-loop."""
+    ego = Node(0, ActorCategory.EGO, AgentState((0.0, 0.0), 0.0, (0.0, 10.0), braking=False))
+    nodes = (ego, Node(1, ActorCategory.LANE), Node(2, ActorCategory.ROAD), Node(3, ActorCategory.OBJECT))
+    edges = sort_edges(
+        [
+            Edge(0, RelationCategory.SELF_STATE, 0),
+            Edge(0, RelationCategory.IS_IN, 1),
+            Edge(1, RelationCategory.IS_IN, 2),
+        ]
+    )
+    return extend(SceneGraph(nodes, edges), target_frame=4)
+
+
+def _ego_only_instance():
+    ego = Node(0, ActorCategory.EGO, AgentState((0.0, 0.0), 0.0, (0.0, 5.0), braking=True))
+    return extend(SceneGraph((ego,), (Edge(0, RelationCategory.SELF_STATE, 0),)), target_frame=4)
+
+
+def test_batched_probabilities_match_single_forward(tiny_dims):
+    instances = []
+    for template in ScenarioTemplate:
+        for scn in generate(template, 21, 2):
+            instances.extend(to_instances(scn))
+    # an isolated node and a graph without candidates, away from the chunk edges
+    instances.insert(BATCH_SIZE + 5, _isolated_node_instance())
+    instances.insert(2 * BATCH_SIZE + 1, _ego_only_instance())
+    assert len(instances) > 2 * BATCH_SIZE
+    assert len({len(ext.base.nodes) for ext in instances}) > 2
+    assert not _ego_only_instance().candidates
+
+    params = ModelParams.initialize(tiny_dims, seed=6)
+    pairs = list(predict_each(params, iter(instances)))
+    assert len(pairs) == len(instances)
+    for ext, (got_ext, got) in zip(instances, pairs):
+        assert got_ext is ext
+        np.testing.assert_allclose(got, forward(params, ext).data, rtol=0, atol=1e-12)
 
 
 def _permute_graph(g, perm):

@@ -6,7 +6,7 @@ import pytest
 from cornergraph import autodiff as ad
 from cornergraph.extended import extend, label_candidates
 from cornergraph.frames import build_scene_graph
-from cornergraph.model import ModelParams, forward
+from cornergraph.model import BATCH_SIZE, ModelParams, forward
 from cornergraph.scenarios import (
     ScenarioTemplate,
     generate,
@@ -20,6 +20,7 @@ from cornergraph.training import (
     TrainConfig,
     TrainLog,
     UnlabeledInstance,
+    _mean_loss,
     bce_loss,
     fit,
     k_fold_evaluate,
@@ -207,6 +208,29 @@ def test_pooled_predictions_concatenate(tiny_dims):
     assert set(np.unique(y)) <= {0, 1}
     with pytest.raises(EmptyBatch):
         pooled_predictions(params, [])
+
+
+def test_pooled_predictions_keep_instance_order(tiny_dims):
+    dataset, _ = small_dataset(n_scenarios=6)
+    assert len(dataset) > BATCH_SIZE
+    order = np.random.default_rng(5).permutation(len(dataset))
+    shuffled = [dataset[i] for i in order]
+    params = ModelParams.initialize(tiny_dims, seed=3)
+    y_hat, y = pooled_predictions(params, shuffled)
+    want = np.concatenate([forward(params, ext).data for ext in shuffled])
+    np.testing.assert_allclose(y_hat, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(y, np.concatenate([ext.labels() for ext in shuffled]))
+
+
+def test_mean_loss_is_mean_of_instance_losses(tiny_dims):
+    dataset, _ = small_dataset(n_scenarios=6)
+    params = ModelParams.initialize(tiny_dims, seed=4)
+    per_instance = [
+        bce_loss(forward(params, ext).data, np.asarray(ext.labels()), 1.7)
+        for ext in dataset
+    ]
+    assert _mean_loss(params, dataset, 1.7) == pytest.approx(np.mean(per_instance), abs=1e-12)
+    assert _mean_loss(params, [], 1.7) is None
 
 
 def test_k_fold_rotation_covers_every_scenario(tiny_dims):
