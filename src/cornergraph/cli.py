@@ -20,8 +20,11 @@ input file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -291,8 +294,20 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_obj(path):
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as err:  # not JSON, or not text
+            raise SchemaError(f"checkpoint {path} is not JSON: {err}") from err
     return obj, checkpoint_from_json(obj)
+
+
+def _source_frame(scenario, frame: int):
+    if not 0 <= frame < len(scenario.frames):
+        raise ConfigParseError(
+            f"frame {frame} is out of range for scenario {scenario.id}, "
+            f"which has {len(scenario.frames)} frames"
+        )
+    return scenario.frames[frame]
 
 
 def _subset_instances(instances, obj, subset: str):
@@ -382,13 +397,14 @@ def cmd_perturb(args) -> int:
 
     corpus, _ = scenarios.read_corpus(data)
     _, params = _load_checkpoint_obj(model_path)
+    sources = [_source_frame(scenario, frame) for scenario in corpus]
     instances = (
         extend(
-            build_scene_graph(scenario.frames[frame]),
+            build_scene_graph(source),
             target_frame=scenario.horizon,
             scenario_id=scenario.id,
         )
-        for scenario in corpus
+        for scenario, source in zip(corpus, sources)
     )
     with open(out, "w") as fh:
         for ext, probs in predict_each(params, instances):
@@ -403,14 +419,83 @@ def cmd_perturb(args) -> int:
 
 def _read_predicted(path) -> dict:
     out = {}
-    with open(path) as fh:
-        for line in fh:
+    # bytes, so that a line that is not text fails like one that is not JSON
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            out[record["scenario_id"]] = graph_from_json(record["graph"])
+            try:
+                record = json.loads(line)
+                scenario_id, graph = record["scenario_id"], record["graph"]
+                if not isinstance(scenario_id, str):
+                    raise TypeError("scenario_id is not a string")
+            except (ValueError, KeyError, TypeError) as err:
+                raise SchemaError(
+                    f"{path}:{lineno}: expected a JSON object with a string "
+                    "scenario_id and a graph"
+                ) from err
+            out[scenario_id] = graph_from_json(graph)
     return out
+
+
+def _rollout_settings(cfg: dict) -> tuple:
+    """(dt, horizon): both finite and positive, and at least one step."""
+    dt = _as_float(cfg, "dt")
+    horizon = _as_float(cfg, "horizon")
+    for key, value in (("dt", dt), ("horizon", horizon)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigParseError(
+                f"config key {key!r} must be a finite positive number, got {cfg[key]!r}"
+            )
+    steps = horizon / dt
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise ConfigParseError(
+            f"horizon {cfg['horizon']} over dt {cfg['dt']} must give at least "
+            f"one step, got {steps:g}"
+        )
+    return dt, horizon
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a block.
+
+    ``simulate`` builds tens of thousands of small objects (corpus, scene
+    graphs, plans) that form no cycles and live until the command returns.
+    With the collector running, its young passes scan them again and again
+    while they are built, and once enough of them survive into the old
+    generation it runs a full collection over the whole heap, 20 to 50 ms
+    in a process that holds other work, inside the command.  Paused, they
+    are freed by reference counting at the end and never scanned.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _realize_corpus(data, predicted_path, frame) -> tuple:
+    """(executables, whether any predicted graph was given): each scenario's
+    frame ``frame`` realized against its predicted graph, or against itself
+    without one.  The corpus and its graphs are dropped on return."""
+    predicted = {}
+    if predicted_path:
+        predicted = _read_predicted(_require(predicted_path, "predicted graphs"))
+    corpus, _ = scenarios.read_corpus(data)
+    executables = []
+    for scenario in corpus:
+        regular = build_scene_graph(_source_frame(scenario, frame))
+        target = predicted.get(scenario.id, regular)
+        try:
+            executable = sim.realize(regular, target, scenario.layout, scenario_id=scenario.id)
+        except NodeMismatch as err:
+            raise SchemaError(f"predicted graph of scenario {scenario.id}: {err}") from err
+        executables.append(executable)
+    return executables, bool(predicted)
 
 
 def cmd_simulate(args) -> int:
@@ -430,36 +515,23 @@ def cmd_simulate(args) -> int:
     out = _require_out(args)
     data = _require(args.data, "scenario corpus")
     frame = _as_int(cfg, "frame")
-    dt = _as_float(cfg, "dt")
-    horizon = _as_float(cfg, "horizon")
+    dt, horizon = _rollout_settings(cfg)
     names = [n.strip() for n in cfg["profiles"].split(",") if n.strip()]
     unknown = [n for n in names if n not in sim.PROFILES]
     if unknown:
         raise ConfigParseError(f"unknown profile(s) {unknown}")
     profiles = [sim.PROFILES[n] for n in names]
 
-    predicted = {}
-    if args.predicted:
-        predicted = _read_predicted(_require(args.predicted, "predicted graphs"))
-
-    corpus, _ = scenarios.read_corpus(data)
-    executables = []
-    for scenario in corpus:
-        regular = build_scene_graph(scenario.frames[frame])
-        target = predicted.get(scenario.id, regular)
-        try:
-            executable = sim.realize(regular, target, scenario.layout, scenario_id=scenario.id)
-        except NodeMismatch as err:
-            raise SchemaError(f"predicted graph of scenario {scenario.id}: {err}") from err
-        executables.append(executable)
-    results = sim.simulate_batch(executables, profiles, dt=dt, horizon=horizon)
+    with _collector_paused():
+        executables, perturbed = _realize_corpus(data, args.predicted, frame)
+        results = sim.simulate_batch(executables, profiles, dt=dt, horizon=horizon)
     report = sim.scr_report(results)
     matched = sum(e.fidelity[0] for e in executables)
     prescribed = sum(e.fidelity[1] for e in executables)
     payload = {
         "schema_version": 1,
         "episodes_per_profile": len(executables),
-        "perturbed": bool(predicted),
+        "perturbed": perturbed,
         "infeasible": sum(1 for e in executables if e.infeasible),
         "fidelity": {"matched": matched, "prescribed": prescribed},
         "profiles": report,

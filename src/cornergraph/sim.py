@@ -4,8 +4,10 @@
 episode: adversaries whose predicted relations differ from their current ones
 get a two-leg waypoint plan that holds their travel line and then cuts toward
 the prescribed position late, while unchanged adversaries simply continue at
-their current velocity.  ``run_episode`` then rolls the episode forward under
-one of four ego driver profiles and classifies the outcome.
+their current velocity.  ``simulate_batch`` then rolls every episode forward
+under each of four ego driver profiles, all of them together as numpy arrays,
+and classifies the outcomes; ``run_episode`` is the same rollout on one
+episode.
 
 Outcome precedence is fixed: Collision > NearMiss > UnsafeManeuver >
 NoCollision.  Collision means oriented-box IoU above 0.1, near miss means
@@ -20,8 +22,10 @@ for the ego), uses no randomness, and is therefore bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .extended import NodeMismatch
 from .frames import RoadLayout
@@ -109,9 +113,14 @@ PROFILES = {
 
 
 def box_corners(cx, cy, heading, length, width):
-    """Counter-clockwise corners of an oriented box; heading 0 points +y."""
-    fx, fy = math.sin(heading), math.cos(heading)
-    rx, ry = math.cos(heading), -math.sin(heading)
+    """Counter-clockwise corners of an oriented box; heading 0 points +y.
+
+    Takes scalars, or arrays that broadcast together; each corner is an
+    ``(x, y)`` pair of the same kind.
+    """
+    s, c = np.sin(heading), np.cos(heading)
+    fx, fy = s, c
+    rx, ry = c, -s
     hl, hw = length / 2.0, width / 2.0
     return (
         (cx + fx * hl + rx * hw, cy + fy * hl + ry * hw),
@@ -119,6 +128,11 @@ def box_corners(cx, cy, heading, length, width):
         (cx - fx * hl - rx * hw, cy - fy * hl - ry * hw),
         (cx - fx * hl + rx * hw, cy - fy * hl + ry * hw),
     )
+
+
+def _box_polygons(cx, cy, heading, length, width):
+    """``box_corners`` over arrays of boxes, as one ``(boxes, 4, 2)`` array."""
+    return np.array(box_corners(cx, cy, heading, length, width)).transpose(2, 0, 1)
 
 
 def polygon_area(poly):
@@ -177,64 +191,65 @@ def box_iou(poly_a, poly_b):
     return inter / union
 
 
-def _point_in_convex(p, poly):
-    px, py = p
-    n = len(poly)
-    for i in range(n):
-        ax, ay = poly[i]
-        bx, by = poly[(i + 1) % n]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -1e-12:
-            return False
-    return True
+def _orient(p, q, r):
+    """Side of r relative to p->q: 1 left, -1 right, 0 within 1e-12."""
+    v = (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+    v -= (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+    return (v > 1e-12).view(np.int8) - (v < -1e-12).view(np.int8)
 
 
 def _point_seg_dist(p, a, b):
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
+    dx = b[..., 0] - a[..., 0]
+    dy = b[..., 1] - a[..., 1]
     denom = dx * dx + dy * dy
-    if denom <= 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / denom
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (p[..., 0] - a[..., 0]) * dx
+        t += (p[..., 1] - a[..., 1]) * dy
+        t /= denom
+        np.clip(t, 0.0, 1.0, out=t)
+        dist = np.hypot(p[..., 0] - (a[..., 0] + t * dx), p[..., 1] - (a[..., 1] + t * dy))
+    if np.any(denom <= 0.0):
+        degenerate = np.hypot(p[..., 0] - a[..., 0], p[..., 1] - a[..., 1])
+        dist = np.where(denom <= 0.0, degenerate, dist)
+    return dist
 
 
-def _segments_cross(a, b, c, d):
-    def orient(p, q, r):
-        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        if v > 1e-12:
-            return 1
-        if v < -1e-12:
-            return -1
-        return 0
+def _clearance(poly_a, poly_b):
+    """Minimum surface distance between convex counter-clockwise polygons,
+    0 on overlap, for each pair of ``poly_a[i]`` and ``poly_b[i]``.
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return o1 != o2 and o3 != o4 and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0
+    ``poly_a`` is ``(pairs, n, 2)`` and ``poly_b`` is ``(pairs, m, 2)``.  A
+    pair overlaps when a first vertex lies inside the other polygon (1e-12
+    slack) or two edges cross properly; otherwise the distance is the
+    smallest from a vertex of one to an edge of the other.
+    """
+    next_a = np.roll(poly_a, -1, axis=-2)
+    next_b = np.roll(poly_b, -1, axis=-2)
+
+    def contains(poly, nxt, p):
+        return np.all(_orient(poly, nxt, p[..., None, :]) >= 0, axis=-1)
+
+    inside = contains(poly_b, next_b, poly_a[..., 0, :]) | contains(
+        poly_a, next_a, poly_b[..., 0, :]
+    )
+    a1, a2 = poly_a[..., :, None, :], next_a[..., :, None, :]
+    b1, b2 = poly_b[..., None, :, :], next_b[..., None, :, :]
+    o1, o2 = _orient(a1, a2, b1), _orient(a1, a2, b2)
+    o3, o4 = _orient(b1, b2, a1), _orient(b1, b2, a2)
+    cross = (o1 != o2) & (o3 != o4) & (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0)
+    dist = np.minimum(
+        _point_seg_dist(a1, b1, b2).min(axis=(-2, -1)),
+        _point_seg_dist(b1, a1, a2).min(axis=(-2, -1)),
+    )
+    return np.where(inside | cross.any(axis=(-2, -1)), 0.0, dist)
 
 
 def polygon_clearance(poly_a, poly_b):
     """Minimum surface distance between two convex polygons, 0 on overlap."""
-    if _point_in_convex(poly_a[0], poly_b) or _point_in_convex(poly_b[0], poly_a):
-        return 0.0
-    best = math.inf
-    n_a, n_b = len(poly_a), len(poly_b)
-    for i in range(n_a):
-        a1, a2 = poly_a[i], poly_a[(i + 1) % n_a]
-        for j in range(n_b):
-            b1, b2 = poly_b[j], poly_b[(j + 1) % n_b]
-            if _segments_cross(a1, a2, b1, b2):
-                return 0.0
-            best = min(
-                best,
-                _point_seg_dist(a1, b1, b2),
-                _point_seg_dist(a2, b1, b2),
-                _point_seg_dist(b1, a1, a2),
-                _point_seg_dist(b2, a1, a2),
-            )
-    return best
+    pair = _clearance(
+        np.asarray(poly_a, dtype=float)[None], np.asarray(poly_b, dtype=float)[None]
+    )
+    return float(pair[0])
 
 
 # --- adversary plans -------------------------------------------------------
@@ -258,31 +273,46 @@ class AdversaryPlan:
     infeasible: bool = False
 
     def sample(self, t):
-        """Position, velocity and box heading at time t >= 0."""
+        """Position, velocity and box heading at time t >= 0.
+
+        ``t`` is a scalar, giving five floats, or an array, giving five
+        arrays of its shape.  Velocity and heading are constant per leg and
+        are computed once per leg with ``math``.
+        """
+        times = np.asarray(t, dtype=float)
         wps = self.waypoints
-        for i in range(len(wps) - 1):
+        last = len(wps) - 1
+        # the leg of each time is the first one whose end it does not pass
+        leg = np.full(times.shape, last)
+        for i in range(last - 1, -1, -1):
+            leg[times <= wps[i + 1][0]] = i
+        x, y, vx, vy, heading = (np.empty(times.shape) for _ in range(5))
+        for i in range(last):
+            at = leg == i
             t0, x0, y0 = wps[i]
             t1, x1, y1 = wps[i + 1]
-            if t <= t1:
-                span = t1 - t0
-                vx = (x1 - x0) / span
-                vy = (y1 - y0) / span
-                frac = (t - t0) / span
-                x = x0 + (x1 - x0) * frac
-                y = y0 + (y1 - y0) * frac
-                return x, y, vx, vy, self._heading(vx, vy, i)
+            span = t1 - t0
+            frac = (times[at] - t0) / span
+            x[at] = x0 + (x1 - x0) * frac
+            y[at] = y0 + (y1 - y0) * frac
+            vx[at] = (x1 - x0) / span
+            vy[at] = (y1 - y0) / span
+            heading[at] = self._heading((x1 - x0) / span, (y1 - y0) / span, i)
+        after = leg == last
         t_last, x_last, y_last = wps[-1]
         if self.post_mode == "park":
-            return x_last, y_last, 0.0, 0.0, self._heading(0.0, 0.0, len(wps) - 2)
-        vx, vy = self.post_velocity
-        dt = t - t_last
-        return (
-            x_last + vx * dt,
-            y_last + vy * dt,
-            vx,
-            vy,
-            self._heading(vx, vy, len(wps) - 2),
-        )
+            x[after], y[after], vx[after], vy[after] = x_last, y_last, 0.0, 0.0
+            heading[after] = self._heading(0.0, 0.0, last - 1)
+        else:
+            pvx, pvy = self.post_velocity
+            elapsed = times[after] - t_last
+            x[after] = x_last + pvx * elapsed
+            y[after] = y_last + pvy * elapsed
+            vx[after], vy[after] = pvx, pvy
+            heading[after] = self._heading(pvx, pvy, last - 1)
+        if times.ndim == 0:
+            return tuple(float(v) for v in (x, y, vx, vy, heading))
+        return x, y, vx, vy, heading
 
     def _heading(self, vx, vy, leg):
         if math.hypot(vx, vy) > 0.05:
@@ -544,8 +574,219 @@ class EpisodeResult:
     trace: tuple = ()
 
 
-def _body(category):
-    return BODY_SIZES[category]
+#: steps every live episode advances between retirements; the working set
+#: is live episodes x adversaries x WINDOW
+WINDOW = 50
+
+
+def _poses(executables, times, width, record):
+    """Adversary poses of each executable at each time, from
+    ``AdversaryPlan.sample``: x, y and heading as ``(times, executables,
+    width)`` arrays, plus vx and vy when ``record`` is set.  Slots past an
+    executable's last plan sit at infinity, which keeps them out of the
+    range gate, the hazard scan and the reach pre-filter."""
+    shape = (len(times), len(executables), width)
+    x, y = np.full(shape, np.inf), np.full(shape, np.inf)
+    rest = [np.zeros(shape) for _ in range(3 if record else 1)]
+    for s, scn in enumerate(executables):
+        for a, plan in enumerate(scn.plans):
+            px, py, pvx, pvy, ph = plan.sample(times)
+            x[:, s, a], y[:, s, a], rest[0][:, s, a] = px, py, ph
+            if record:
+                rest[1][:, s, a], rest[2][:, s, a] = pvx, pvy
+    return (x, y, *rest)
+
+
+def _rollout(executables, profiles, dt, horizon, record=False):
+    """Every executable under every profile, advanced together.
+
+    Episodes are profile-major: every executable under the first profile,
+    then under the next.  Each window of ``WINDOW`` steps first runs the
+    ego controllers of all live episodes step by step as arrays, then tests
+    the window's poses for overlap at once: the reach pre-filter as a mask,
+    clearance in one ``_clearance`` call on the surviving pairs, and
+    ``box_iou`` on the touching pairs in (step, adversary) order.  An
+    episode leaves the batch at its first collision.
+    """
+    n_scn = len(executables)
+    n_ep = n_scn * len(profiles)
+    steps = int(round(horizon / dt))
+    ego_len, ego_wid = BODY_SIZES[ActorCategory.EGO]
+    ego_diag = math.hypot(ego_len, ego_wid)
+
+    width = max((len(scn.plans) for scn in executables), default=0)
+    half_len = np.zeros((n_scn, width))
+    reach = np.zeros((n_scn, width))
+    length = np.ones((n_scn, width))
+    breadth = np.ones((n_scn, width))
+    for s, scn in enumerate(executables):
+        for a, plan in enumerate(scn.plans):
+            a_len, a_wid = BODY_SIZES[plan.category]
+            length[s, a], breadth[s, a] = a_len, a_wid
+            half_len[s, a] = (ego_len + a_len) / 2.0
+            reach[s, a] = (ego_diag + math.hypot(a_len, a_wid)) / 2.0
+
+    scn_of = np.tile(np.arange(n_scn), len(profiles))
+
+    def per_profile(attr, dtype=float):
+        return np.repeat(np.array([getattr(p, attr) for p in profiles], dtype), n_scn)
+
+    def per_scenario(values, dtype=float):
+        return np.array(values, dtype).reshape(n_scn)[scn_of]
+
+    reactive = per_profile("reactive", bool)
+    time_gap = per_profile("time_gap")
+    brake_step = per_profile("brake_rate") * dt
+    hazard_range = per_profile("hazard_range")
+    ego_x = per_scenario([scn.ego_start[0] for scn in executables])
+    ego_y = per_scenario([scn.ego_start[1] for scn in executables])
+    v_target = per_scenario([scn.ego_target_speed for scn in executables])
+    from_rest = per_scenario([scn.ego_from_rest for scn in executables], bool)
+
+    x0, y0, _ = _poses(executables, np.zeros(1), width, False)
+    radial0 = np.hypot(x0[0][scn_of] - ego_x[:, None], y0[0][scn_of] - ego_y[:, None])
+    gated = from_rest & np.any(radial0 < hazard_range[:, None], axis=1)
+
+    v = np.where(from_rest, 0.0, v_target)
+    started = ~from_rest
+    max_speed = v.copy()
+    min_clear = np.full(n_ep, np.inf)
+    near_miss = np.zeros(n_ep, bool)
+    collided = np.zeros(n_ep, bool)
+    t_final = np.zeros(n_ep)
+    traces = [[] for _ in range(n_ep)] if record else None
+
+    live = np.arange(n_ep)
+    done = 0
+    t = 0.0
+    while done < steps and live.size:
+        n = min(WINDOW, steps - done)
+        # sequential sums, so the grid equals repeated ``t += dt``
+        times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
+        scn_l = scn_of[live]
+        scns, local = np.unique(scn_l, return_inverse=True)
+        poses = _poses([executables[s] for s in scns], times, width, record)
+        ax, ay, ah, *avel = (p[:, local] for p in poses)
+        ex = ego_x[live][:, None]
+        ey = ego_y[live]
+        vv = v[live]
+        st = started[live]
+        gap_t, brake_l, range_l = time_gap[live], brake_step[live], hazard_range[live]
+        react_l, target_l = reactive[live], v_target[live]
+        half_l = half_len[scn_l]
+
+        ego_ys = np.empty((n, live.size))
+        speeds = np.empty((n, live.size))
+        for k in range(n):
+            if not st.all():
+                radial = np.hypot(ax[k] - ex, ay[k] - ey[:, None])
+                st = st | np.all(radial >= range_l[:, None], axis=1)
+            dy = ay[k] - ey[:, None]
+            ahead = (np.abs(ax[k] - ex) <= EGO_CORRIDOR_HALF) & (dy > 0.0)
+            # nearest corridor hazard ahead by surface gap, inf for none
+            hazard = np.min(np.where(ahead, dy - half_l, np.inf), axis=1, initial=np.inf)
+            target_gap = np.maximum(STANDSTILL_GAP, vv * gap_t)
+            accel = np.where(
+                react_l, hazard > 1.5 * target_gap, hazard >= BASIC_EMERGENCY_GAP
+            )
+            brake = ~accel & (~react_l | (hazard < target_gap))
+            moved = np.where(
+                accel,
+                np.minimum(vv + EGO_ACCEL * dt, target_l),
+                np.where(brake, np.maximum(vv - brake_l, 0.0), vv),
+            )
+            vv = np.where(st, moved, vv)
+            ey = ey + vv * dt
+            ego_ys[k] = ey
+            speeds[k] = vv
+
+        # overlap at the end of each step: ego and adversaries both at t + dt
+        ox, oy, oh = ax[1:], ay[1:], ah[1:]
+        near = (
+            np.hypot(ox - ex[None], oy - ego_ys[:, :, None]) - reach[scn_l][None]
+            <= NEAR_MISS_CLEARANCE
+        )
+        # pairs in (step, episode, adversary) order
+        ks, es, slots = np.nonzero(near)
+        ego_poly = _box_polygons(ex[es, 0], ego_ys[ks, es], 0.0, ego_len, ego_wid)
+        adv_poly = _box_polygons(
+            ox[ks, es, slots],
+            oy[ks, es, slots],
+            oh[ks, es, slots],
+            length[scn_l[es], slots],
+            breadth[scn_l[es], slots],
+        )
+        clear = _clearance(ego_poly, adv_poly)
+
+        hit = np.zeros(live.size, bool)
+        last = np.full(live.size, n - 1)
+        for j in np.flatnonzero(clear == 0.0).tolist():
+            e = es[j]
+            if not hit[e] and (
+                box_iou(ego_poly[j].tolist(), adv_poly[j].tolist()) > COLLISION_IOU
+            ):
+                hit[e] = True
+                last[e] = ks[j]
+        # pairs after a collision cannot change the result: the colliding
+        # pair already has clearance 0, and a near miss only counts without
+        # a collision
+        clear_l = min_clear[live]
+        np.minimum.at(clear_l, es, clear)
+        min_clear[live] = clear_l
+        near_miss[live[es[clear <= NEAR_MISS_CLEARANCE]]] = True
+
+        top = np.maximum.accumulate(speeds, axis=0)[last, np.arange(live.size)]
+        max_speed[live] = np.maximum(max_speed[live], top)
+        if record:
+            counts = [len(executables[s].plans) for s in scn_l]
+            adversaries = (ox, oy, oh, *(p[1:] for p in avel))
+            _record(traces, live, last, times, ego_x, ego_ys, speeds, adversaries, counts)
+
+        collided[live[hit]] = True
+        t_final[live[hit]] = times[last[hit] + 1]
+        ego_y[live], v[live], started[live] = ey, vv, st
+        live = live[~hit]
+        done += n
+        t = float(times[-1])
+    t_final[live] = t
+
+    results = []
+    for e in range(n_ep):
+        if collided[e]:
+            outcome = Outcome.COLLISION
+        elif near_miss[e]:
+            outcome = Outcome.NEAR_MISS
+        elif gated[e] and max_speed[e] < 0.5:
+            outcome = Outcome.UNSAFE_MANEUVER
+        else:
+            outcome = Outcome.NO_COLLISION
+        results.append(
+            EpisodeResult(
+                outcome=outcome,
+                t_final=float(t_final[e]),
+                max_ego_speed=float(max_speed[e]),
+                min_clearance=float(min_clear[e]),
+                gated_start=bool(gated[e]),
+                trace=tuple(traces[e]) if record else (),
+            )
+        )
+    return results
+
+
+def _record(traces, live, last, times, ego_x, ego_ys, speeds, adversaries, counts):
+    """Trace rows of a window: per step one ego row, then one row per
+    adversary from its (x, y, heading, vx, vy) arrays, up to each episode's
+    last step."""
+    for i, e in enumerate(live.tolist()):
+        rows = traces[e]
+        for k in range(int(last[i]) + 1):
+            t = float(times[k + 1])
+            rows.append(
+                ("ego", t, float(ego_x[e]), float(ego_ys[k, i]), 0.0, float(speeds[k, i]))
+            )
+            for a in range(counts[i]):
+                x, y, heading, vx, vy = (float(p[k, i, a]) for p in adversaries)
+                rows.append((f"adv{a}", t, x, y, heading, math.hypot(vx, vy)))
 
 
 def run_episode(
@@ -555,122 +796,18 @@ def run_episode(
     horizon: float = HORIZON,
     record: bool = False,
 ) -> EpisodeResult:
-    ego_x, ego_y = scn.ego_start
-    v_target = scn.ego_target_speed
-    v = 0.0 if scn.ego_from_rest else v_target
-    started = not scn.ego_from_rest
-    ego_len, ego_wid = _body(ActorCategory.EGO)
-
-    def adversary_states(t):
-        return [p.sample(t) for p in scn.plans]
-
-    def radial(states):
-        return [math.hypot(x - ego_x, y - ego_y) for x, y, _, _, _ in states]
-
-    states0 = adversary_states(0.0)
-    gated_start = scn.ego_from_rest and any(
-        r < profile.hazard_range for r in radial(states0)
-    )
-
-    max_speed = v
-    min_clear = math.inf
-    near_miss = False
-    collision = False
-    trace = []
-    steps = int(round(horizon / dt))
-    t = 0.0
-    for _ in range(steps):
-        states = adversary_states(t)
-
-        if not started:
-            if all(r >= profile.hazard_range for r in radial(states)):
-                started = True
-
-        # nearest corridor hazard ahead, by surface gap
-        hazard_gap = None
-        for plan, (ax, ay, _, _, _) in zip(scn.plans, states):
-            if abs(ax - ego_x) > EGO_CORRIDOR_HALF:
-                continue
-            dy = ay - ego_y
-            if dy <= 0.0:
-                continue
-            gap = dy - (ego_len + _body(plan.category)[0]) / 2.0
-            if hazard_gap is None or gap < hazard_gap:
-                hazard_gap = gap
-
-        if started:
-            if profile.reactive:
-                target_gap = max(STANDSTILL_GAP, v * profile.time_gap)
-                if hazard_gap is None or hazard_gap > 1.5 * target_gap:
-                    v = min(v + EGO_ACCEL * dt, v_target)
-                elif hazard_gap < target_gap:
-                    v = max(v - profile.brake_rate * dt, 0.0)
-            else:
-                if hazard_gap is not None and hazard_gap < BASIC_EMERGENCY_GAP:
-                    v = max(v - profile.brake_rate * dt, 0.0)
-                else:
-                    v = min(v + EGO_ACCEL * dt, v_target)
-
-        ego_y += v * dt
-        t += dt
-        max_speed = max(max_speed, v)
-
-        ego_poly = None
-        for plan, (ax, ay, _, _, ah) in zip(scn.plans, states):
-            a_len, a_wid = _body(plan.category)
-            reach = (
-                math.hypot(ego_len, ego_wid) + math.hypot(a_len, a_wid)
-            ) / 2.0
-            if math.hypot(ax - ego_x, ay - ego_y) - reach > NEAR_MISS_CLEARANCE:
-                continue
-            if ego_poly is None:
-                ego_poly = box_corners(ego_x, ego_y, 0.0, ego_len, ego_wid)
-            a_poly = box_corners(ax, ay, ah, a_len, a_wid)
-            clear = polygon_clearance(ego_poly, a_poly)
-            min_clear = min(min_clear, clear)
-            if clear <= NEAR_MISS_CLEARANCE:
-                near_miss = True
-            if clear == 0.0 and box_iou(ego_poly, a_poly) > COLLISION_IOU:
-                collision = True
-                break
-
-        if record:
-            trace.append(("ego", t, ego_x, ego_y, 0.0, v))
-            for i, (ax, ay, avx, avy, ah) in enumerate(states):
-                trace.append(
-                    (f"adv{i}", t, ax, ay, ah, math.hypot(avx, avy))
-                )
-        if collision:
-            break
-
-    if collision:
-        outcome = Outcome.COLLISION
-    elif near_miss:
-        outcome = Outcome.NEAR_MISS
-    elif gated_start and max_speed < 0.5:
-        outcome = Outcome.UNSAFE_MANEUVER
-    else:
-        outcome = Outcome.NO_COLLISION
-    return EpisodeResult(
-        outcome=outcome,
-        t_final=t,
-        max_ego_speed=max_speed,
-        min_clearance=min_clear,
-        gated_start=gated_start,
-        trace=tuple(trace),
-    )
+    """One episode: the lockstep rollout on a batch of one.  With ``record``
+    the result carries one ego row and one row per adversary per step."""
+    return _rollout([scn], [profile], dt, horizon, record)[0]
 
 
 def simulate_batch(executables, profiles=None, dt=SIM_STEP, horizon=HORIZON):
     """Outcomes for every executable under every profile."""
-    chosen = profiles if profiles is not None else list(PROFILES.values())
-    out = {}
-    for profile in chosen:
-        out[profile.name] = [
-            run_episode(scn, profile, dt=dt, horizon=horizon)
-            for scn in executables
-        ]
-    return out
+    chosen = list(profiles if profiles is not None else PROFILES.values())
+    executables = list(executables)
+    episodes = _rollout(executables, chosen, dt, horizon)
+    n = len(executables)
+    return {p.name: episodes[i * n : (i + 1) * n] for i, p in enumerate(chosen)}
 
 
 def scr_report(results_by_profile) -> dict:

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from cornergraph import sim
 from cornergraph.cli import main
 from cornergraph.extended import attach_predictions, decode_prediction, extend
 from cornergraph.frames import build_scene_graph
@@ -185,6 +187,43 @@ def test_simulate_identity_arm_without_predictions(pipeline, tmp_path):
     assert obj["fidelity"] == {"matched": 0, "prescribed": 0}
 
 
+def test_simulate_pauses_the_collector_and_restores_it(
+    pipeline, tmp_path, monkeypatch, capsys
+):
+    seen = []
+    real = sim.simulate_batch
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "simulate_batch", spy)
+    assert gc.isenabled()
+    assert main([
+        "simulate", "--data", pipeline["corpus"], "--profiles", "Normal",
+        "--out", str(tmp_path / "s.json"),
+    ]) == 0
+    assert seen == [False] and gc.isenabled()
+    # a failure inside the paused block restores the collector too
+    bad = tmp_path / "predicted.jsonl"
+    bad.write_text("not json\n")
+    assert main([
+        "simulate", "--data", pipeline["corpus"], "--predicted", str(bad),
+        "--out", str(tmp_path / "t.json"),
+    ]) == 3
+    assert gc.isenabled()
+    # and a collector the caller turned off stays off
+    gc.disable()
+    try:
+        assert main([
+            "simulate", "--data", pipeline["corpus"], "--profiles", "Normal",
+            "--out", str(tmp_path / "u.json"),
+        ]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
 def test_print_config_resolves_precedence(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("count=10\nseed=3\n")
@@ -329,3 +368,74 @@ def test_unknown_profile_exits_2(pipeline, tmp_path, capsys):
     ])
     assert code == 2
     assert "Reckless" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize(
+    "setting", ["dt=0", "dt=-0.05", "horizon=0.01", "dt=nan", "horizon=inf", "horizon=-30"]
+)
+def test_malformed_rollout_setting_exits_2(pipeline, tmp_path, capsys, setting):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "s.json"
+    code = main([
+        "simulate", "--config", str(cfg), "--data", pipeline["corpus"],
+        "--profiles", "Normal", "--out", str(out),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_parse"
+    assert setting.split("=")[0] in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["perturb", "simulate"])
+@pytest.mark.parametrize("frame", ["99", "-1"])
+def test_out_of_range_frame_exits_2(pipeline, tmp_path, capsys, command, frame):
+    corpus, _ = read_corpus(pipeline["corpus"])
+    extra = ["--model", pipeline["model"]] if command == "perturb" else ["--profiles", "Normal"]
+    out = tmp_path / "out"
+    code = main([
+        command, "--data", pipeline["corpus"], "--frame", frame, *extra, "--out", str(out),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_parse"
+    assert corpus[0].id in err["message"]
+    assert f"{len(corpus[0].frames)} frames" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"decoded graphs go here",
+        b"\xff\xfe not text",
+        json.dumps({"graph": {}}).encode(),
+        json.dumps({"scenario_id": "x"}).encode(),
+        json.dumps({"scenario_id": [1], "graph": {}}).encode(),
+        b"[1, 2]",
+    ],
+)
+def test_predicted_line_that_is_not_a_record_exits_3(pipeline, tmp_path, capsys, line):
+    bad = tmp_path / "predicted.jsonl"
+    bad.write_bytes(line + b"\n")
+    code = main([
+        "simulate", "--data", pipeline["corpus"], "--predicted", str(bad),
+        "--profiles", "Normal", "--out", str(tmp_path / "s.json"),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert "predicted.jsonl:1" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["eval", "perturb"])
+def test_checkpoint_that_is_not_json_exits_3(pipeline, tmp_path, capsys, command):
+    bad = tmp_path / "model.txt"
+    bad.write_text("model weights go here\n")
+    code = main([
+        command, "--data", pipeline["corpus"], "--model", str(bad),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "schema_version_mismatch"

@@ -347,3 +347,153 @@ def test_profile_table_is_complete():
     assert PROFILES["Basic"].reactive is False
     for profile in PROFILES.values():
         assert profile.brake_rate > 0
+
+
+# --- lockstep batches ------------------------------------------------------
+
+
+def _reference_clearance(poly_a, poly_b):
+    """Surface distance as a scalar loop: first vertices inside, proper edge
+    crossings, then the nearest vertex-edge distance."""
+
+    def inside(p, poly):
+        return all(
+            (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= -1e-12
+            for a, b in zip(poly, poly[1:] + poly[:1])
+        )
+
+    def orient(p, q, r):
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+        return 1 if v > 1e-12 else -1 if v < -1e-12 else 0
+
+    def seg_dist(p, a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)))
+        return math.hypot(p[0] - (a[0] + t * dx), p[1] - (a[1] + t * dy))
+
+    poly_a, poly_b = list(poly_a), list(poly_b)
+    if inside(poly_a[0], poly_b) or inside(poly_b[0], poly_a):
+        return 0.0
+    best = math.inf
+    for a1, a2 in zip(poly_a, poly_a[1:] + poly_a[:1]):
+        for b1, b2 in zip(poly_b, poly_b[1:] + poly_b[:1]):
+            o = (orient(a1, a2, b1), orient(a1, a2, b2), orient(b1, b2, a1), orient(b1, b2, a2))
+            if o[0] != o[1] and o[2] != o[3] and 0 not in o:
+                return 0.0
+            best = min(best, seg_dist(a1, b1, b2), seg_dist(b1, a1, a2))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes, boxes)
+def test_clearance_matches_scalar_reference(pa, pb):
+    a, b = box_corners(*pa), box_corners(*pb)
+    want = _reference_clearance(a, b)
+    assert polygon_clearance(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_array_sampling_matches_scalar_sampling():
+    plans = [
+        AdversaryPlan(
+            category=ActorCategory.BICYCLE,
+            heading0=0.4,
+            waypoints=((0.0, 1.75, 30.0), (2.2, 1.75, 20.0), (3.0, -1.2, 18.5)),
+            post_mode=mode,
+            post_velocity=(0.0, 9.0),
+        )
+        for mode in ("park", "cruise")
+    ] + [parked_car(3.0, 4.0)]
+    times = np.cumsum(np.full(80, 0.05)) - 0.05
+    for plan in plans:
+        arrays = plan.sample(times)
+        for k, t in enumerate(times.tolist()):
+            assert tuple(float(col[k]) for col in arrays) == plan.sample(t)
+
+
+def moving(category, waypoints, post_mode="park", post_velocity=(0.0, 0.0)):
+    return AdversaryPlan(
+        category=category,
+        heading0=0.0,
+        waypoints=waypoints,
+        post_mode=post_mode,
+        post_velocity=post_velocity,
+    )
+
+
+def test_batch_episodes_equal_single_episodes():
+    scns = [
+        # no adversary: an ungated start from rest
+        executable([], from_rest=True),
+        # one parked car inside the reactive ranges: a gated start from rest
+        executable([parked_car(-1.75, 20.0)], from_rest=True),
+        # overlapping from the start: a collision in the first step
+        executable([parked_car(-1.75, 2.0)]),
+        # three adversaries: a pedestrian grazing the ego's side (touching,
+        # IoU under the bar) ahead of a car that collides in the same step
+        executable([
+            AdversaryPlan(ActorCategory.PEDESTRIAN, 0.0, ((0.0, -0.55, 0.5),), "park"),
+            parked_car(-1.75, 2.0),
+            parked_car(30.0, 200.0),
+        ]),
+        # three moving adversaries: a cut-in, a crossing cyclist, a cruiser
+        executable([
+            moving(ActorCategory.CAR, ((0.0, 1.75, 60.0), (3.0, 1.75, 45.0), (4.5, -1.5, 42.0))),
+            moving(ActorCategory.BICYCLE, ((0.0, 8.0, 35.0),), "linear", (-2.5, 0.0)),
+            moving(ActorCategory.CAR, ((0.0, -1.75, 15.0), (2.0, -1.75, 30.0)), "cruise", (0.0, 7.5)),
+        ], ego_speed=12.0),
+    ]
+    batch = simulate_batch(scns)
+    assert list(batch) == list(PROFILES)
+    for name, profile in PROFILES.items():
+        assert len(batch[name]) == len(scns)
+        for scn, got in zip(scns, batch[name]):
+            assert got == run_episode(scn, profile), name
+
+    free, gated, first_step, touching, _ = (
+        [batch[name][i] for name in PROFILES] for i in range(len(scns))
+    )
+    for result in free:
+        assert result.gated_start is False
+        assert result.outcome is Outcome.NO_COLLISION
+        assert result.min_clearance == math.inf
+        assert result.max_ego_speed == 10.0
+    # the car sits 20 m ahead: inside the Normal and Cautious ranges only
+    assert {name: r.gated_start for name, r in zip(PROFILES, gated)} == {
+        "Basic": False, "Normal": True, "Cautious": True, "Aggressive": False,
+    }
+    for result in first_step + touching:
+        assert result.outcome is Outcome.COLLISION
+        assert result.t_final == 0.05
+        assert result.min_clearance == 0.0
+        assert result.max_ego_speed == 10.0
+
+
+def test_grazing_contact_is_not_a_collision():
+    graze = executable(
+        [AdversaryPlan(ActorCategory.PEDESTRIAN, 0.0, ((0.0, -0.55, 0.5),), "park")]
+    )
+    result = run_episode(graze, PROFILES["Basic"], horizon=0.05)
+    assert result.outcome is Outcome.NEAR_MISS
+    assert result.min_clearance == 0.0
+
+
+def test_overlap_compares_ego_and_adversaries_at_the_same_instant():
+    # a car crossing at 10 m/s reaches the ego's lane exactly at the horizon
+    # (step 60, the second window): its box then overlaps the ego's by 1 m
+    # (IoU 2/16), one step earlier by 0.5 m (IoU 1/17, under the bar)
+    crossing = moving(ActorCategory.CAR, ((0.0, -34.0, 30.0),), "linear", (10.0, 0.0))
+    scn = executable([crossing])
+    result = run_episode(scn, PROFILES["Basic"], horizon=3.0, record=True)
+    assert result.outcome is Outcome.COLLISION
+    assert result.t_final == pytest.approx(3.0)
+
+    rows = result.trace
+    assert len(rows) == 2 * 60
+    for ego, adv in zip(rows[::2], rows[1::2]):
+        assert ego[0] == "ego" and adv[0] == "adv0"
+        t = ego[1]
+        assert adv[1] == t
+        assert ego[3] == pytest.approx(10.0 * t)
+        x, y, vx, vy, heading = crossing.sample(t)
+        assert (adv[2], adv[3], adv[4]) == (x, y, heading)
+        assert adv[5] == math.hypot(vx, vy)
