@@ -35,7 +35,7 @@ from .model import (
     predict_probs,
     save_checkpoint,
 )
-from .training import TrainConfig, k_fold_evaluate, train
+from .training import TrainConfig, train
 from .metrics import EvalReport, sweep
 from .scenarios import Scenario, ScenarioTemplate, generate, generate_corpus, to_instances
 from .sim import PROFILES, Outcome, realize, run_episode, scr_report
@@ -75,7 +75,6 @@ __all__ = [
     "forward",
     "generate",
     "generate_corpus",
-    "k_fold_evaluate",
     "label_candidates",
     "load_checkpoint",
     "predict_probs",

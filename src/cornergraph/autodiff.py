@@ -2,7 +2,8 @@
 
 Define-by-run: while a ``Tape`` is active, every op appends a record holding
 its parents and a backward closure; ``backward`` seeds the scalar loss with 1
-and walks the records in exact reverse order, accumulating into ``grad``.
+and walks the records in exact reverse order, accumulating into the ``grad``
+of the leaves (tensors no record produced, such as parameters).
 Without an active tape the same ops run forward-only, which is what inference
 uses.
 
@@ -82,26 +83,39 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
+        """Accumulate d(loss)/d(leaf) into ``grad`` of every leaf that
+        requires it.  A leaf is a tensor no record of this tape produced;
+        the gradients of the others live only in this pass.
+
+        Contributions to one tensor are summed into a fresh array: a backward
+        closure may hand the same array to several parents (``add`` returns
+        ``(g, g)``), so adding into it in place would corrupt the others.
+        """
         if loss.data.size != 1:
             raise NotScalar("backward needs a scalar loss")
         grads: dict = {id(loss): np.ones_like(loss.data)}
+        tensors: dict = {id(loss): loss}
         for rec in reversed(self.records):
             out_grad = grads.pop(id(rec.output), None)
             if out_grad is None:
                 continue
-            parent_grads = rec.backward_fn(out_grad)
-            for parent, g in zip(rec.parents, parent_grads):
+            for parent, g in zip(rec.parents, rec.backward_fn(out_grad)):
                 if g is None:
                     continue
-                if parent.requires_grad:
-                    if parent.grad is None:
-                        parent.grad = np.zeros_like(parent.data)
-                    parent.grad += g
                 key = id(parent)
-                if key in grads:
-                    grads[key] += g
-                else:
+                seen = grads.get(key)
+                if seen is None:
                     grads[key] = g
+                    tensors[key] = parent
+                else:
+                    grads[key] = seen + g
+        # every record output has been popped: what is left are the leaves
+        for key, g in grads.items():
+            leaf = tensors[key]
+            if leaf.requires_grad:
+                if leaf.grad is None:
+                    leaf.grad = np.zeros_like(leaf.data)
+                leaf.grad += g
 
 
 def _active_tape():

@@ -205,7 +205,6 @@ _TRAIN_DEFAULTS = {
     "optimizer": "adam",
     "seed": "0",
     "split": "0.7,0.2,0.1",
-    "k_folds": "3",
     "positive_weight": "1.0",
     "early_stop_patience": "20",
     "encoder_hidden": "64",
@@ -229,7 +228,6 @@ def _train_config(cfg: dict) -> TrainConfig:
         optimizer=optimizer,
         seed=_as_int(cfg, "seed"),
         split=split,
-        k_folds=_as_int(cfg, "k_folds"),
         positive_weight=_as_float(cfg, "positive_weight"),
         early_stop_patience=_as_int(cfg, "early_stop_patience"),
     )
@@ -252,7 +250,6 @@ def _train_config_json(tc: TrainConfig) -> dict:
         "optimizer": tc.optimizer,
         "seed": tc.seed,
         "split": list(tc.split),
-        "k_folds": tc.k_folds,
         "positive_weight": tc.positive_weight,
         "early_stop_patience": tc.early_stop_patience,
     }
@@ -329,6 +326,20 @@ def _subset_instances(instances, obj, subset: str):
     return [ext for ext in instances if ext.scenario_id in wanted]
 
 
+def _score_subset(data, model_path, subset: str) -> tuple:
+    """(probabilities, labels, instance count, the checkpoint's training seed)
+    over the chosen subset.  The corpus and its instances are dropped on
+    return."""
+    corpus, _ = scenarios.read_corpus(data)
+    instances = scenarios.corpus_instances(corpus)
+    obj, params = _load_checkpoint_obj(model_path)
+    chosen = _subset_instances(instances, obj, subset)
+    if not chosen:
+        raise MissingInputError(f"subset {subset!r} selects no instances")
+    probs, labels = pooled_predictions(params, chosen)
+    return probs, labels, len(chosen), obj.get("train_config", {}).get("seed")
+
+
 def cmd_eval(args) -> int:
     cfg = resolve_config(args, {"subset": "test"}, {"subset": args.subset})
     if args.print_config:
@@ -339,21 +350,16 @@ def cmd_eval(args) -> int:
     model_path = _require(args.model, "model checkpoint")
     subset = cfg["subset"]
 
-    corpus, _ = scenarios.read_corpus(data)
-    instances = scenarios.corpus_instances(corpus)
-    obj, params = _load_checkpoint_obj(model_path)
-    chosen = _subset_instances(instances, obj, subset)
-    if not chosen:
-        raise MissingInputError(f"subset {subset!r} selects no instances")
-    probs, labels = pooled_predictions(params, chosen)
+    with _collector_paused():
+        probs, labels, n_instances, seed = _score_subset(data, model_path, subset)
     report = metrics.sweep(probs, labels)
-    prov = provenance(cfg, obj.get("train_config", {}).get("seed"))
+    prov = provenance(cfg, seed)
     payload = report.to_json()
     payload.update(
         {
             "schema_version": 1,
             "subset": subset,
-            "n_instances": len(chosen),
+            "n_instances": n_instances,
             "provenance": prov,
         }
     )
@@ -366,7 +372,7 @@ def cmd_eval(args) -> int:
         _write_meta(args.pr, prov)
     print(
         f"{subset}: auc {report.auc:.4f}, best f1 {report.best_f1:.4f} "
-        f"over {len(chosen)} instances"
+        f"over {n_instances} instances"
     )
     return 0
 
@@ -380,21 +386,10 @@ def _decode_mode(cfg: dict):
     raise ConfigParseError(f"unknown decode mode {mode!r}")
 
 
-def cmd_perturb(args) -> int:
-    cfg = resolve_config(
-        args,
-        {"mode": "argmax", "tau": "0.5", "frame": "0"},
-        {"mode": args.mode, "tau": args.tau, "frame": args.frame},
-    )
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
-    data = _require(args.data, "scenario corpus")
-    model_path = _require(args.model, "model checkpoint")
-    frame = _as_int(cfg, "frame")
-    mode = _decode_mode(cfg)
-
+def _write_decoded(data, model_path, frame: int, mode, out) -> int:
+    """Decode each scenario's predicted conflict graph from frame ``frame``
+    and write them as JSONL to ``out``, in corpus order; returns the
+    scenario count.  The corpus is dropped on return."""
     corpus, _ = scenarios.read_corpus(data)
     _, params = _load_checkpoint_obj(model_path)
     sources = [_source_frame(scenario, frame) for scenario in corpus]
@@ -412,8 +407,28 @@ def cmd_perturb(args) -> int:
             record = {"scenario_id": ext.scenario_id, "graph": graph_to_json(decoded)}
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
+    return len(corpus)
+
+
+def cmd_perturb(args) -> int:
+    cfg = resolve_config(
+        args,
+        {"mode": "argmax", "tau": "0.5", "frame": "0"},
+        {"mode": args.mode, "tau": args.tau, "frame": args.frame},
+    )
+    if args.print_config:
+        _print_config(cfg)
+        return 0
+    out = _require_out(args)
+    data = _require(args.data, "scenario corpus")
+    model_path = _require(args.model, "model checkpoint")
+    frame = _as_int(cfg, "frame")
+    mode = _decode_mode(cfg)
+
+    with _collector_paused():
+        count = _write_decoded(data, model_path, frame, mode, out)
     _write_meta(out, provenance(cfg, None))
-    print(f"decoded {len(corpus)} predicted conflict graphs to {out}")
+    print(f"decoded {count} predicted conflict graphs to {out}")
     return 0
 
 
@@ -461,13 +476,14 @@ def _rollout_settings(cfg: dict) -> tuple:
 def _collector_paused():
     """Pause the cyclic garbage collector for a block.
 
-    ``simulate`` builds tens of thousands of small objects (corpus, scene
-    graphs, plans) that form no cycles and live until the command returns.
-    With the collector running, its young passes scan them again and again
-    while they are built, and once enough of them survive into the old
-    generation it runs a full collection over the whole heap, 20 to 50 ms
-    in a process that holds other work, inside the command.  Paused, they
-    are freed by reference counting at the end and never scanned.
+    ``eval``, ``perturb`` and ``simulate`` build tens of thousands of small
+    objects (corpus, scene graphs, instances, plans) that form no cycles and
+    live until the command is done with them.  With the collector running, its young
+    passes scan them again and again while they are built, and once enough
+    of them survive into the old generation it runs a full collection over
+    the whole heap, 20 to 60 ms in a process that holds other work, inside
+    the command.  Paused, they are freed by reference counting at the end
+    and never scanned.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -174,7 +174,15 @@ def expected_param_count(dims: ModelDims) -> int:
 
 
 class ModelParams:
-    """Named parameter tensors in a fixed order.
+    """Named parameter tensors in a fixed order, stored flat.
+
+    The data of all tensors lives in one contiguous float64 buffer, ``flat``,
+    in tensor order, and each tensor's ``data`` is a reshaped view into it;
+    the tensors passed in are adopted, their data copied into ``flat``.
+    Gradients get a second buffer, ``flat_grad``, with each ``grad`` a view
+    into it, from the first ``zero_grad`` or ``collect_grad`` on: a snapshot
+    or a loaded checkpoint never needs one.  An optimizer updates every
+    parameter with one pass over the buffers.
 
     Weights start uniform in +-1/sqrt(fan_in); biases start at zero.  The
     total count is asserted at construction, and the reference configuration
@@ -183,7 +191,6 @@ class ModelParams:
 
     def __init__(self, dims: ModelDims, tensors: dict):
         self.dims = dims
-        self.tensors = tensors
         total = sum(t.data.size for t in tensors.values())
         expected = expected_param_count(dims)
         if total != expected:
@@ -192,6 +199,24 @@ class ModelParams:
             raise ValueError(
                 f"reference configuration must have {DEFAULT_PARAM_COUNT} parameters"
             )
+        self.tensors = tensors
+        self.flat = np.concatenate([t.data.reshape(-1) for t in tensors.values()])
+        for t, view in zip(tensors.values(), self._views(self.flat)):
+            t.data = view
+        self.flat_grad = None
+        self._grad_views = []
+
+    def _views(self, buffer: np.ndarray) -> list:
+        """Each tensor's reshaped view of ``buffer``, in tensor order."""
+        views, at = [], 0
+        for t in self.tensors.values():
+            views.append(buffer[at : at + t.data.size].reshape(t.data.shape))
+            at += t.data.size
+        return views
+
+    def _make_grad_buffer(self) -> None:
+        self.flat_grad = np.zeros(self.flat.size)
+        self._grad_views = self._views(self.flat_grad)
 
     @classmethod
     def initialize(cls, dims: ModelDims = DEFAULT_DIMS, seed: int = 0) -> "ModelParams":
@@ -217,19 +242,32 @@ class ModelParams:
         return self.tensors.items()
 
     def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
+        if self.flat_grad is None:
+            self._make_grad_buffer()
+        else:
+            self.flat_grad.fill(0.0)
+        for t, view in zip(self.tensors.values(), self._grad_views):
+            t.grad = view
+
+    def collect_grad(self) -> np.ndarray:
+        """The gradient buffer, after folding in every tensor whose ``grad``
+        is not its view: one that backward allocated before the buffer
+        existed, or that was cleared (counted as zero) or rebound since."""
+        if self.flat_grad is None:
+            self._make_grad_buffer()
+        for t, view in zip(self.tensors.values(), self._grad_views):
+            if t.grad is not view:
+                view[...] = 0.0 if t.grad is None else t.grad
+                t.grad = view
+        return self.flat_grad
 
     def clone(self) -> "ModelParams":
-        tensors = {
-            name: Tensor(t.data.copy(), requires_grad=True)
-            for name, t in self.tensors.items()
-        }
+        # views of this buffer, copied into the clone's own in one concatenation
+        tensors = {name: Tensor(t.data, requires_grad=True) for name, t in self.items()}
         return ModelParams(self.dims, tensors)
 
     def load_from(self, other: "ModelParams") -> None:
-        for name, t in self.tensors.items():
-            t.data = other.tensors[name].data.copy()
+        np.copyto(self.flat, other.flat)
 
 
 def _mlp(params: ModelParams, prefix: str, x: Tensor) -> Tensor:

@@ -1,9 +1,9 @@
 """Per-instance training loop with scenario-level splits.
 
 Instances from the same scenario share a ground truth, so leakage control
-happens at the scenario level: the train/validation/test split (and the k-fold
-partition) assign whole scenarios.  One optimizer step per instance; the
-returned parameters are the snapshot with the best validation loss.
+happens at the scenario level: the train/validation/test split assigns whole
+scenarios.  One optimizer step per instance; the returned parameters are the
+snapshot with the best validation loss.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .extended import ExtendedGraph
-from .metrics import sweep
 from .model import DEFAULT_DIMS, ModelDims, ModelParams, forward, predict_each
 
 
@@ -48,7 +47,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     split: tuple = (0.70, 0.20, 0.10)
-    k_folds: int = 3
     positive_weight: float = 1.0
     early_stop_patience: int = 20
 
@@ -91,10 +89,19 @@ def bce_loss(y_hat, y, positive_weight: float = 1.0):
 
 
 class _Adam:
+    """Adam over the flat parameter buffers, in place, one pass per step.
+
+    Each element goes through the same expressions, in the same order, as
+    in an update written tensor by tensor, so the result does not depend on
+    the buffer layout.  Temporaries go to two scratch buffers that live for
+    one step only: the validation pass between epochs, the peak of a
+    training run's memory, does not hold them.
+    """
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.m = np.zeros(params.flat.size)
+        self.v = np.zeros(params.flat.size)
         self.t = 0
 
     def step(self, params: ModelParams) -> None:
@@ -102,18 +109,26 @@ class _Adam:
         self.t += 1
         b1t = 1.0 - cfg.beta1**self.t
         b2t = 1.0 - cfg.beta2**self.t
-        for name, tensor in params.items():
-            if tensor.grad is None:
-                continue
-            g = tensor.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
-            tensor.data = tensor.data - cfg.learning_rate * update
+        g = params.collect_grad()
+        m, v = self.m, self.v
+        a, b = np.empty_like(g), np.empty_like(g)
+        # m = b1 * m + (1 - b1) * g
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m += a
+        # v = b2 * v + ((1 - b2) * g) * g
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v += a
+        # data -= lr * ((m / b1t) / (sqrt(v / b2t) + eps))
+        np.divide(v, b2t, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.eps
+        np.divide(m, b1t, out=b)
+        b /= a
+        b *= cfg.learning_rate
+        params.flat -= b
 
 
 class _Sgd:
@@ -121,10 +136,7 @@ class _Sgd:
         self.cfg = cfg
 
     def step(self, params: ModelParams) -> None:
-        for _, tensor in params.items():
-            if tensor.grad is None:
-                continue
-            tensor.data = tensor.data - self.cfg.learning_rate * tensor.grad
+        params.flat -= self.cfg.learning_rate * params.collect_grad()
 
 
 def _make_optimizer(params: ModelParams, cfg: TrainConfig):
@@ -209,6 +221,17 @@ def _mean_loss(params, instances, positive_weight):
     return float(np.mean(losses)) if losses else None
 
 
+def _loss_and_gradient(params: ModelParams, ext: ExtendedGraph, positive_weight: float):
+    """Accumulate the gradient of one instance's loss and return the loss as a
+    float.  The tape, and the activations it holds, are freed on return,
+    before the optimizer step and the validation pass."""
+    labels = np.asarray(ext.labels(), dtype=np.float64)
+    with Tape() as tape:
+        loss = bce_loss(forward(params, ext), labels, positive_weight)
+        tape.backward(loss)
+    return loss.item()
+
+
 def fit(
     train_insts: Sequence[ExtendedGraph],
     val_insts: Sequence[ExtendedGraph],
@@ -237,12 +260,7 @@ def fit(
         epoch_losses = []
         for idx in order:
             ext = train_insts[idx]
-            labels = np.asarray(ext.labels(), dtype=np.float64)
-            with Tape() as tape:
-                probs = forward(params, ext)
-                loss = bce_loss(probs, labels, cfg.positive_weight)
-                tape.backward(loss)
-            epoch_losses.append(loss.item())
+            epoch_losses.append(_loss_and_gradient(params, ext, cfg.positive_weight))
             optimizer.step(params)
             params.zero_grad()
         train_loss = float(np.mean(epoch_losses))
@@ -293,78 +311,3 @@ def pooled_predictions(params: ModelParams, instances: Sequence[ExtendedGraph]):
     if not probs:
         raise EmptyBatch("no instances to score")
     return np.concatenate(probs), np.concatenate(labels)
-
-
-@dataclass(frozen=True)
-class FoldReport:
-    fold: int
-    n_train_scenarios: int
-    n_eval_scenarios: int
-    val_loss: float
-    f1: float
-    auc: float
-
-
-def k_fold_evaluate(
-    dataset: Sequence[ExtendedGraph],
-    cfg: TrainConfig = TrainConfig(),
-    dims: ModelDims = DEFAULT_DIMS,
-) -> list:
-    """Rotate a scenario-level partition; each fold serves once as the held-out
-    set (validation for early stopping, and the set the fold's F1/AUC are
-    computed on).  Remainder scenarios go to the earliest folds.
-    """
-    _check_labeled(dataset)
-    ids = sorted({ext.scenario_id for ext in dataset})
-    k = cfg.k_folds
-    if len(ids) < k:
-        raise TooFewScenarios(f"{len(ids)} scenarios cannot fill {k} folds")
-    rng = np.random.default_rng(cfg.seed)
-    order = rng.permutation(len(ids))
-    shuffled = [ids[i] for i in order]
-    base, rem = divmod(len(ids), k)
-    folds = []
-    at = 0
-    for i in range(k):
-        size = base + (1 if i < rem else 0)
-        folds.append(shuffled[at : at + size])
-        at += size
-
-    reports = []
-    for i, held_out in enumerate(folds):
-        train_ids = [sid for j, fold in enumerate(folds) if j != i for sid in fold]
-        train_insts = _by_scenario(dataset, train_ids)
-        eval_insts = _by_scenario(dataset, held_out)
-        params, log = fit(train_insts, eval_insts, cfg, dims)
-        y_hat, y = pooled_predictions(params, eval_insts)
-        report = sweep(y_hat, y)
-        best_row = min(
-            (row for row in log.rows if row[2] is not None),
-            key=lambda row: row[2],
-            default=(log.best_epoch, math.nan, math.nan),
-        )
-        reports.append(
-            FoldReport(
-                fold=i,
-                n_train_scenarios=len(train_ids),
-                n_eval_scenarios=len(held_out),
-                val_loss=float(best_row[2]),
-                f1=report.best_f1,
-                auc=report.auc,
-            )
-        )
-    return reports
-
-
-def summarize_folds(reports: Sequence[FoldReport]) -> dict:
-    val = np.array([r.val_loss for r in reports])
-    f1 = np.array([r.f1 for r in reports])
-    auc = np.array([r.auc for r in reports])
-    return {
-        "val_loss_mean": float(val.mean()),
-        "val_loss_std": float(val.std()),
-        "f1_mean": float(f1.mean()),
-        "f1_std": float(f1.std()),
-        "auc_mean": float(auc.mean()),
-        "auc_std": float(auc.std()),
-    }

@@ -180,6 +180,30 @@ def test_gradient_accumulates_across_reuse():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
+def test_backward_sums_gradients_that_share_one_array():
+    # add's backward hands one array to both parents, and u collects from two
+    # adds: summing into that array in place once gave x.grad == [10.]
+    x = ad.Tensor(np.asarray([1.0]), requires_grad=True)
+    with ad.Tape():
+        u = ad.scale(x, 2.0)
+        v = ad.scale(x, 3.0)
+        loss = ad.sum_all(ad.add(ad.add(u, v), u))
+        ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, [7.0])
+
+
+def test_backward_writes_grad_on_leaves_only():
+    x = ad.Tensor(np.asarray([1.0, -2.0]), requires_grad=True)
+    c = ad.constant(np.asarray([3.0, 4.0]))
+    with ad.Tape():
+        y = ad.mul(x, c)
+        loss = ad.sum_all(ad.mul(y, y))
+        ad.backward(loss)
+    assert y.requires_grad and y.grad is None and loss.grad is None
+    assert c.grad is None
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data * c.data**2)
+
+
 def test_backward_accumulates_into_existing_grad():
     x = ad.Tensor(np.asarray([2.0]), requires_grad=True)
     for _ in range(2):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cornergraph import sim
+from cornergraph import cli, sim
 from cornergraph.cli import main
 from cornergraph.extended import attach_predictions, decode_prediction, extend
 from cornergraph.frames import build_scene_graph
@@ -222,6 +222,50 @@ def test_simulate_pauses_the_collector_and_restores_it(
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [("eval", "pooled_predictions"), ("perturb", "predict_each")],
+)
+def test_eval_and_perturb_pause_the_collector_and_restore_it(
+    pipeline, tmp_path, monkeypatch, capsys, command, target
+):
+    seen = []
+    real = getattr(cli, target)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, target, spy)
+    argv = [command, "--data", pipeline["corpus"], "--model", pipeline["model"]]
+    if command == "eval":
+        argv += ["--subset", "all"]
+    assert gc.isenabled()
+    assert main(argv + ["--out", str(tmp_path / "a.out")]) == 0
+    assert seen == [False] and gc.isenabled()
+    # a failure inside the paused block restores the collector too
+    bad = tmp_path / "model.json"
+    bad.write_text("not json\n")
+    argv[argv.index(pipeline["model"])] = str(bad)
+    assert main(argv + ["--out", str(tmp_path / "b.out")]) == 3
+    assert gc.isenabled()
+
+
+def test_train_accepts_a_config_that_still_sets_k_folds(pipeline, tmp_path):
+    # k_folds is no longer a key of its own; like any unknown key it is
+    # accepted, and training does not read it
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TINY_TRAIN + "k_folds=5\n")
+    out = tmp_path / "model.json"
+    assert main([
+        "train", "--config", str(cfg), "--data", pipeline["corpus"], "--out", str(out),
+    ]) == 0
+    obj, want = read_json(str(out)), read_json(pipeline["model"])
+    assert obj["tensors"] == want["tensors"]
+    assert "k_folds" not in obj["train_config"]
+    assert obj["provenance"] != want["provenance"]
 
 
 def test_print_config_resolves_precedence(tmp_path, capsys):

@@ -15,18 +15,16 @@ from cornergraph.scenarios import (
 )
 from cornergraph.training import (
     EmptyBatch,
-    FoldReport,
     TooFewScenarios,
     TrainConfig,
     TrainLog,
     UnlabeledInstance,
+    _make_optimizer,
     _mean_loss,
     bce_loss,
     fit,
-    k_fold_evaluate,
     pooled_predictions,
     scenario_split,
-    summarize_folds,
     train,
 )
 
@@ -137,6 +135,93 @@ def test_sgd_step_is_exact(tiny_dims):
     assert log.best_epoch == 0
 
 
+def _step_loss(params, ext):
+    with ad.Tape() as tape:
+        loss = bce_loss(forward(params, ext), np.asarray(ext.labels(), dtype=float))
+        tape.backward(loss)
+    return loss.item()
+
+
+def test_adam_fit_equals_a_per_tensor_reference(tiny_dims):
+    dataset, _ = small_dataset(n_scenarios=2)
+    train_insts = dataset[:5]
+    cfg = TrainConfig(learning_rate=3e-3, epochs=3, seed=5, early_stop_patience=99)
+    params, log = fit(train_insts, [], cfg, tiny_dims)
+
+    # fit's loop, with Adam written out tensor by tensor on fresh arrays
+    ref = ModelParams.initialize(tiny_dims, seed=cfg.seed)
+    m = {name: np.zeros_like(t.data) for name, t in ref.items()}
+    v = {name: np.zeros_like(t.data) for name, t in ref.items()}
+    rng = np.random.default_rng(cfg.seed + 1)
+    step, best, rows, snapshot = 0, math.inf, [], None
+    for epoch in range(cfg.epochs):
+        losses = []
+        for idx in rng.permutation(len(train_insts)):
+            for _, t in ref.items():
+                t.zero_grad()
+            losses.append(_step_loss(ref, train_insts[idx]))
+            step += 1
+            b1t = 1.0 - cfg.beta1**step
+            b2t = 1.0 - cfg.beta2**step
+            for name, t in ref.items():
+                g = t.grad
+                m[name] = m[name] * cfg.beta1 + (1.0 - cfg.beta1) * g
+                v[name] = v[name] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
+                update = (m[name] / b1t) / (np.sqrt(v[name] / b2t) + cfg.eps)
+                t.data = t.data - cfg.learning_rate * update
+        rows.append((epoch, float(np.mean(losses)), None))
+        if rows[-1][1] < best:
+            best = rows[-1][1]
+            snapshot = {name: t.data.copy() for name, t in ref.items()}
+
+    assert step == cfg.epochs * len(train_insts)
+    assert log.rows == rows
+    for name, t in params.items():
+        assert np.array_equal(t.data, snapshot[name]), name
+
+
+def test_every_parameter_gets_a_gradient_in_every_step(tiny_dims):
+    # the flat optimizer steps every tensor; the per-tensor loop it replaced
+    # skipped a tensor without a gradient, so the two agree only while every
+    # training step reaches every tensor
+    instances = [
+        ext
+        for template in ScenarioTemplate
+        for scenario in generate(template, 4, 2)
+        for ext in to_instances(scenario)
+    ]
+    params = ModelParams.initialize(tiny_dims, seed=0)
+    for ext in instances:
+        for _, t in params.items():
+            t.zero_grad()
+        _step_loss(params, ext)
+        assert [name for name, t in params.items() if t.grad is None] == []
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_optimizer_sees_a_gradient_cleared_on_the_tensor(tiny_dims, optimizer):
+    ext = small_dataset(n_scenarios=1)[0][0]
+    cfg = TrainConfig(learning_rate=1e-2, optimizer=optimizer, seed=2)
+
+    def one_step(cleared):
+        params = ModelParams.initialize(tiny_dims, seed=cfg.seed)
+        opt = _make_optimizer(params, cfg)
+        params.zero_grad()
+        for name in cleared:
+            params[name].zero_grad()
+        _step_loss(params, ext)
+        opt.step(params)
+        return params
+
+    want = one_step([])
+    got = one_step(["triple.b2", "gat1.theta"])
+    init = ModelParams.initialize(tiny_dims, seed=cfg.seed)
+    for name, t in got.items():
+        np.testing.assert_array_equal(t.data, want[name].data)
+    assert not np.array_equal(got["triple.b2"].data, init["triple.b2"].data)
+    assert not np.array_equal(got["gat1.theta"].data, init["gat1.theta"].data)
+
+
 def test_zero_learning_rate_leaves_params_unchanged(tiny_dims):
     dataset, _ = small_dataset(n_scenarios=1)
     cfg = TrainConfig(learning_rate=0.0, epochs=2, optimizer="adam", seed=1,
@@ -231,25 +316,6 @@ def test_mean_loss_is_mean_of_instance_losses(tiny_dims):
     ]
     assert _mean_loss(params, dataset, 1.7) == pytest.approx(np.mean(per_instance), abs=1e-12)
     assert _mean_loss(params, [], 1.7) is None
-
-
-def test_k_fold_rotation_covers_every_scenario(tiny_dims):
-    dataset, scenarios = small_dataset(n_scenarios=7)
-    cfg = TrainConfig(learning_rate=2e-3, epochs=2, seed=1, k_folds=3,
-                      early_stop_patience=99)
-    reports = k_fold_evaluate(dataset, cfg, tiny_dims)
-    assert [r.fold for r in reports] == [0, 1, 2]
-    # 7 ids over 3 folds: remainder goes to the earliest fold
-    assert [r.n_eval_scenarios for r in reports] == [3, 2, 2]
-    assert all(r.n_train_scenarios == 7 - r.n_eval_scenarios for r in reports)
-    summary = summarize_folds(reports)
-    assert set(summary) == {
-        "val_loss_mean", "val_loss_std", "f1_mean", "f1_std", "auc_mean", "auc_std",
-    }
-    assert 0.0 <= summary["auc_mean"] <= 1.0
-
-    with pytest.raises(TooFewScenarios):
-        k_fold_evaluate(dataset[:5], TrainConfig(k_folds=40), tiny_dims)
 
 
 def test_train_log_csv(tmp_path):
