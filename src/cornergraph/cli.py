@@ -39,7 +39,7 @@ from .extended import (
     extend,
 )
 from .frames import build_scene_graph
-from .graphs import SchemaError, graph_from_json, graph_to_json
+from .graphs import SchemaError, graph_from_json, graph_to_json, validate_grammar
 from .model import (
     ModelDims,
     SchemaVersionMismatch,
@@ -265,9 +265,10 @@ def cmd_train(args) -> int:
     tc = _train_config(cfg)
     dims = _model_dims(cfg)
 
-    corpus, _ = scenarios.read_corpus(data)
-    instances = scenarios.corpus_instances(corpus)
-    params, log = train(instances, tc, dims)
+    with _collector_paused():
+        corpus, _ = scenarios.read_corpus(data)
+        instances = scenarios.corpus_instances(corpus)
+        params, log = train(instances, tc, dims)
     prov = provenance(cfg, tc.seed)
     save_checkpoint(
         out,
@@ -476,13 +477,13 @@ def _rollout_settings(cfg: dict) -> tuple:
 def _collector_paused():
     """Pause the cyclic garbage collector for a block.
 
-    ``eval``, ``perturb`` and ``simulate`` build tens of thousands of small
-    objects (corpus, scene graphs, instances, plans) that form no cycles and
-    live until the command is done with them.  With the collector running, its young
-    passes scan them again and again while they are built, and once enough
-    of them survive into the old generation it runs a full collection over
-    the whole heap, 20 to 60 ms in a process that holds other work, inside
-    the command.  Paused, they are freed by reference counting at the end
+    ``train``, ``eval``, ``perturb`` and ``simulate`` build tens of
+    thousands of small objects (corpus, scene graphs, instances, tapes,
+    plans) that form no cycles and live until the command is done with
+    them.  With the collector running, its young passes scan them again and
+    again while they are built, and once enough of them survive into the
+    old generation it runs a full collection over the whole heap, 20 to
+    60 ms in a process that holds other work, inside the command.  Paused, they are freed by reference counting at the end
     and never scanned.
     """
     was_enabled = gc.isenabled()
@@ -506,6 +507,13 @@ def _realize_corpus(data, predicted_path, frame) -> tuple:
     for scenario in corpus:
         regular = build_scene_graph(_source_frame(scenario, frame))
         target = predicted.get(scenario.id, regular)
+        if target is not regular:
+            breaches = validate_grammar(target)
+            if breaches:
+                raise SchemaError(
+                    f"predicted graph of scenario {scenario.id} breaks the grammar: "
+                    f"{breaches[0].rule}"
+                )
         try:
             executable = sim.realize(regular, target, scenario.layout, scenario_id=scenario.id)
         except NodeMismatch as err:
@@ -598,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--workers", type=int, help="worker processes where supported")
         p.add_argument("--out", help="output path")
         p.add_argument(
             "--print-config",
@@ -609,11 +615,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a scenario corpus")
     common(p)
+    p.add_argument("--seed", type=int, help="override the configured seed")
+    p.add_argument("--workers", type=int, help="worker processes")
     p.add_argument("--count", type=int, help="number of scenarios")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="fit a model on a corpus")
     common(p)
+    p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--data", help="scenario corpus JSON")
     p.add_argument("--log", help="write the per-epoch loss log CSV here")
     p.set_defaults(func=cmd_train)

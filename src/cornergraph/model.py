@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import MissingSelfEdge, Tensor
+from .autodiff import MissingSelfEdge, ShapeMismatch, Tensor
 from .extended import ExtendedGraph
 from .graphs import (
     ActorCategory,
@@ -271,9 +271,32 @@ class ModelParams:
 
 
 def _mlp(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    hidden = ad.elu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    """Linear, ELU, linear, as one taped op."""
+    w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
+    w2, b2 = params[f"{prefix}.w2"], params[f"{prefix}.b2"]
+    if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[1]:
+        raise ShapeMismatch(f"{prefix} takes {w1.data.shape[1]} features, got {x.data.shape}")
+    pre = x.data @ w1.data.T + b1.data
+    positive = pre > 0
+    # expm1 only sees the non-positive branch; large positives would overflow
+    hidden = np.where(positive, pre, np.expm1(np.minimum(pre, 0.0)))
+    out = hidden @ w2.data.T + b2.data
 
+    def bwd(g):
+        g_pre = (g @ w2.data) * np.where(positive, 1.0, hidden + 1.0)
+        return (
+            g_pre @ w1.data,
+            g_pre.T @ x.data,
+            g_pre.sum(axis=0),
+            g.T @ hidden,
+            g.sum(axis=0),
+        )
+
+    return ad.apply((x, w1, b1, w2, b2), out, bwd)
+
+
+#: slope of the attention scores' leaky rectifier below zero
+LEAKY_SLOPE = 0.2
 
 #: instances compiled and scored together on the inference paths; a larger
 #: chunk holds more temporaries of the forward pass alive at once
@@ -340,7 +363,7 @@ def attend(
     theta_p: Tensor,
     att: Tensor,
 ) -> Tensor:
-    """One attention layer over a fixed edge structure.
+    """One attention layer over a fixed edge structure, as one taped op.
 
     Per edge, a raw score is the attention vector dotted with
     [transformed dst embedding | transformed src embedding | transformed edge
@@ -353,15 +376,47 @@ def attend(
     covered[dst[dst == src]] = True
     if not covered.all():
         raise MissingSelfEdge(f"nodes {np.flatnonzero(~covered).tolist()} have no self-edge")
+    m, k = dst.shape[0], theta.data.shape[0]
+    att_row = att.data.reshape(1, -1)
+    z = h.data @ theta.data.T
+    zj = z[src]
+    stacked = np.concatenate([z[dst], zj, p.data @ theta_p.data.T], axis=1)
+    scores = (stacked @ att_row.T).reshape(-1)
+    positive = scores > 0
+    raw = np.where(positive, scores, LEAKY_SLOPE * scores)
+    # every node has a self-edge, so the softmax groups are the destination
+    # ids 0..n-1 themselves
+    peaks = np.full(n, -np.inf)
+    np.maximum.at(peaks, dst, raw)
+    exps = np.exp(raw - peaks[dst])
+    alpha = exps / np.bincount(dst, weights=exps, minlength=n)[dst]
+    out = np.zeros((n, k))
+    np.add.at(out, dst, zj * alpha[:, None])
 
-    z = ad.linear(h, theta)
-    zp = ad.linear(p, theta_p)
-    zi = ad.gather_rows(z, dst)
-    zj = ad.gather_rows(z, src)
-    scores = ad.flatten(ad.linear(ad.hstack([zi, zj, zp]), ad.as_row(att)))
-    alpha = ad.grouped_softmax(ad.leaky_relu(scores), dst)
-    messages = ad.scale_rows(zj, alpha)
-    return ad.segment_sum(messages, dst, n)
+    def bwd(g):
+        g_msg = g[dst]
+        g_alpha = (g_msg * zj).sum(axis=1)
+        weighted = np.bincount(dst, weights=g_alpha * alpha, minlength=n)
+        g_raw = alpha * (g_alpha - weighted[dst])
+        g_scores = (g_raw * np.where(positive, 1.0, LEAKY_SLOPE)).reshape(m, 1)
+        g_stacked = g_scores @ att_row
+        g_zp = g_stacked[:, 2 * k :]
+        # z feeds the scores as z[dst] and z[src] and the messages as z[src]:
+        # each gather scatters into its own array, and the two are added
+        g_src = np.zeros_like(z)
+        np.add.at(g_src, src, g_msg * alpha[:, None] + g_stacked[:, k : 2 * k])
+        g_dst = np.zeros_like(z)
+        np.add.at(g_dst, dst, g_stacked[:, :k])
+        g_z = g_src + g_dst
+        return (
+            g_z @ theta.data,
+            g_zp @ theta_p.data,
+            g_z.T @ h.data,
+            g_zp.T @ p.data,
+            (g_scores.T @ stacked).reshape(-1),
+        )
+
+    return ad.apply((h, p, theta, theta_p, att), out, bwd)
 
 
 def gat_layer(h, edges: Sequence, theta, theta_p, att) -> Tensor:
@@ -373,7 +428,7 @@ def gat_layer(h, edges: Sequence, theta, theta_p, att) -> Tensor:
     if not isinstance(h, Tensor):
         h = Tensor(h)
     if h.data.ndim == 1:
-        h = ad.as_column(h)
+        h = Tensor(h.data.reshape(-1, 1))
     theta = theta if isinstance(theta, Tensor) else Tensor(theta)
     theta_p = theta_p if isinstance(theta_p, Tensor) else Tensor(theta_p)
     att = att if isinstance(att, Tensor) else Tensor(att)
@@ -381,6 +436,29 @@ def gat_layer(h, edges: Sequence, theta, theta_p, att) -> Tensor:
     src = np.array([e[1] for e in edges], dtype=np.int64)
     p = Tensor(np.array([[float(e[2])] for e in edges]))
     return attend(h, dst, src, p, theta, theta_p, att)
+
+
+def _triple_input(h2: Tensor, p_kg: Tensor, heads: np.ndarray, tails: np.ndarray) -> Tensor:
+    """[head embedding | candidate-relation encoding | tail embedding] per
+    candidate, as one taped op."""
+    k = h2.data.shape[1]
+    out = np.concatenate([h2.data[heads], p_kg.data, h2.data[tails]], axis=1)
+
+    def bwd(g):
+        g_heads = np.zeros_like(h2.data)
+        np.add.at(g_heads, heads, g[:, :k])
+        g_tails = np.zeros_like(h2.data)
+        np.add.at(g_tails, tails, g[:, -k:])
+        return g_tails + g_heads, g[:, k:-k]
+
+    return ad.apply((h2, p_kg), out, bwd)
+
+
+def _probabilities(logits: Tensor) -> Tensor:
+    """Sigmoid of a column of logits, as a flat vector."""
+    shape = logits.data.shape
+    out = 0.5 * (1.0 + np.tanh(0.5 * logits.data.reshape(-1)))
+    return ad.apply((logits,), out, lambda g: ((g * out * (1.0 - out)).reshape(shape),))
 
 
 def encode(params: ModelParams, batch: GraphBatch):
@@ -409,11 +487,8 @@ def forward(params: ModelParams, ext: ExtendedGraph | GraphBatch) -> Tensor:
     z = ad.elu(_mlp(params, "mid", h1))
     h2 = attend(z, dst, src, p, params["gat2.theta"], params["gat2.theta_p"], params["gat2.att"])
 
-    triple_in = ad.hstack(
-        [ad.gather_rows(h2, batch.heads), p_kg, ad.gather_rows(h2, batch.tails)]
-    )
-    logits = _mlp(params, "triple", triple_in)
-    return ad.sigmoid(ad.flatten(logits))
+    logits = _mlp(params, "triple", _triple_input(h2, p_kg, batch.heads, batch.tails))
+    return _probabilities(logits)
 
 
 def predict_probs(params: ModelParams, ext: ExtendedGraph) -> np.ndarray:
@@ -467,8 +542,13 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
         )
     try:
         dims = ModelDims.from_json(obj["dims"])
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
         raise SchemaVersionMismatch(f"checkpoint dims missing or malformed: {err!r}") from err
+    widths = (dims.node_features, dims.edge_features)
+    if min(dims.to_json().values()) < 1 or widths != (NODE_FEATURE_SIZE, EDGE_FEATURE_SIZE):
+        raise SchemaVersionMismatch(
+            f"checkpoint dims {dims.to_json()} are not positive or do not fit the feature layout"
+        )
     raw_tensors = obj.get("tensors")
     if not isinstance(raw_tensors, dict):
         raise SchemaVersionMismatch("checkpoint has no tensors")
@@ -477,13 +557,13 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
         raw = raw_tensors.get(name)
         if not isinstance(raw, dict) or "shape" not in raw or "data" not in raw:
             raise SchemaVersionMismatch(f"checkpoint has no tensor {name}")
-        if tuple(raw["shape"]) != shape:
+        if raw["shape"] != list(shape):
             raise SchemaVersionMismatch(
-                f"tensor {name} has shape {raw['shape']}, expected {list(shape)}"
+                f"tensor {name} has shape {raw['shape']!r}, expected {list(shape)}"
             )
         try:
             data = np.asarray(raw["data"], dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError) as err:
+        except (OverflowError, TypeError, ValueError) as err:
             raise SchemaVersionMismatch(f"tensor {name} data malformed: {err}") from err
         tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(dims, tensors)

@@ -57,35 +57,27 @@ def bce_loss(y_hat, y, positive_weight: float = 1.0):
     ``y_hat`` may be a Tensor (gradients flow) or an array (returns a float).
     Positive terms are scaled by ``positive_weight``.
     """
-    if isinstance(y_hat, Tensor):
-        labels = np.asarray(y, dtype=np.float64)
-        if y_hat.data.size == 0:
-            raise EmptyBatch("no predictions to score")
-        if y_hat.data.shape != labels.shape:
-            raise ad.ShapeMismatch(
-                f"predictions {y_hat.data.shape} vs labels {labels.shape}"
-            )
-        w = float(positive_weight)
-        p = np.clip(y_hat.data, _CLAMP_LO, _CLAMP_HI)
-        terms = w * labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
-        out = np.asarray(-terms.mean())
-        inside = (y_hat.data >= _CLAMP_LO) & (y_hat.data <= _CLAMP_HI)
-        n = labels.size
-
-        def bwd(g):
-            dp = -(w * labels / p - (1.0 - labels) / (1.0 - p)) / n
-            return (g * np.where(inside, dp, 0.0),)
-
-        return ad.apply((y_hat,), out, bwd)
-
-    arr = np.asarray(y_hat, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyBatch("no predictions to score")
+    taped = isinstance(y_hat, Tensor)
+    probs = y_hat.data if taped else np.asarray(y_hat, dtype=np.float64)
     labels = np.asarray(y, dtype=np.float64)
+    if probs.size == 0:
+        raise EmptyBatch("no predictions to score")
+    if probs.shape != labels.shape:
+        raise ad.ShapeMismatch(f"predictions {probs.shape} vs labels {labels.shape}")
     w = float(positive_weight)
-    p = np.clip(arr, _CLAMP_LO, _CLAMP_HI)
+    p = np.clip(probs, _CLAMP_LO, _CLAMP_HI)
     terms = w * labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
-    return float(-terms.mean())
+    loss = -terms.mean()
+    if not taped:
+        return float(loss)
+    inside = (probs >= _CLAMP_LO) & (probs <= _CLAMP_HI)
+    n = labels.size
+
+    def bwd(g):
+        dp = -(w * labels / p - (1.0 - labels) / (1.0 - p)) / n
+        return (g * np.where(inside, dp, 0.0),)
+
+    return ad.apply((y_hat,), np.asarray(loss), bwd)
 
 
 class _Adam:

@@ -226,7 +226,7 @@ def test_simulate_pauses_the_collector_and_restores_it(
 
 @pytest.mark.parametrize(
     "command, target",
-    [("eval", "pooled_predictions"), ("perturb", "predict_each")],
+    [("train", "train"), ("eval", "pooled_predictions"), ("perturb", "predict_each")],
 )
 def test_eval_and_perturb_pause_the_collector_and_restore_it(
     pipeline, tmp_path, monkeypatch, capsys, command, target
@@ -239,16 +239,21 @@ def test_eval_and_perturb_pause_the_collector_and_restore_it(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, target, spy)
-    argv = [command, "--data", pipeline["corpus"], "--model", pipeline["model"]]
+    if command == "train":
+        argv = [command, "--config", pipeline["train_cfg"], "--data", pipeline["corpus"]]
+        read_in_block = pipeline["corpus"]
+    else:
+        argv = [command, "--data", pipeline["corpus"], "--model", pipeline["model"]]
+        read_in_block = pipeline["model"]
     if command == "eval":
         argv += ["--subset", "all"]
     assert gc.isenabled()
     assert main(argv + ["--out", str(tmp_path / "a.out")]) == 0
     assert seen == [False] and gc.isenabled()
     # a failure inside the paused block restores the collector too
-    bad = tmp_path / "model.json"
+    bad = tmp_path / "input.json"
     bad.write_text("not json\n")
-    argv[argv.index(pipeline["model"])] = str(bad)
+    argv[argv.index(read_in_block)] = str(bad)
     assert main(argv + ["--out", str(tmp_path / "b.out")]) == 3
     assert gc.isenabled()
 
@@ -387,6 +392,47 @@ def test_predicted_graph_with_other_nodes_exits_3(pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "schema_version_mismatch"
     assert records[0]["scenario_id"] in err["message"]
+
+
+def test_predicted_graph_that_breaks_the_grammar_exits_3(pipeline, tmp_path, capsys):
+    corpus, _ = read_corpus(pipeline["corpus"])
+    records = [
+        {"scenario_id": scn.id, "graph": graph_to_json(ground_truth_graph(scn))}
+        for scn in corpus
+    ]
+    graph = records[1]["graph"]
+    graph["edges"] = graph["edges"] + graph["edges"]
+    bad = tmp_path / "predicted.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "s.json"
+    code = main([
+        "simulate", "--data", pipeline["corpus"], "--predicted", str(bad),
+        "--profiles", "Normal", "--out", str(out),
+    ])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert records[1]["scenario_id"] in err["message"]
+    assert "duplicate edge" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--seed", "3"],
+        ["perturb", "--workers", "2"],
+        ["simulate", "--seed", "3"],
+        ["report", "--seed", "3"],
+        ["train", "--workers", "2"],
+    ],
+    ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]),
+)
+def test_seed_and_workers_are_flags_of_the_commands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--print-config"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_data_exits_4(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cornergraph.extended import extend
 from cornergraph.frames import build_scene_graph
@@ -338,6 +342,10 @@ def test_checkpoint_rejects_schema_drift(tiny_dims):
     with pytest.raises(SchemaVersionMismatch):
         checkpoint_from_json(bad_layout)
 
+    wide = checkpoint_to_json(ModelParams.initialize(ModelDims(node_features=12)))
+    with pytest.raises(SchemaVersionMismatch):
+        checkpoint_from_json(wide)
+
     bad_shape = dict(good)
     bad_shape["tensors"] = dict(good["tensors"])
     name = "triple.b2"
@@ -366,3 +374,49 @@ def test_reference_dim_mismatch_rejected():
     tensors = dict(params.tensors)
     with pytest.raises(ValueError):
         ModelParams(ModelDims(triple_hidden=8), tensors)
+
+
+_FUZZ_CHECKPOINT = checkpoint_to_json(
+    ModelParams.initialize(
+        ModelDims(encoder_hidden=2, gat1_out=2, mid_hidden=2, mid_out=2, triple_hidden=2)
+    )
+)
+# where a fuzzed value goes: the whole object, or one field at any depth
+_FUZZ_PATHS = (
+    [(), ("schema_version",), ("feature_layout_id",), ("dims",), ("tensors",)]
+    + [("dims", key) for key in _FUZZ_CHECKPOINT["dims"]]
+    + [
+        path
+        for name in ("enc_node.w1", "gat1.att", "triple.b2")
+        for path in (
+            ("tensors", name),
+            ("tensors", name, "shape"),
+            ("tensors", name, "shape", 0),
+            ("tensors", name, "data"),
+            ("tensors", name, "data", 0),
+        )
+    ]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_PATHS), _json_values)
+def test_checkpoint_from_json_returns_params_or_raises_schema_mismatch(path, value):
+    obj = copy.deepcopy(_FUZZ_CHECKPOINT)
+    if path:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        obj = value
+    try:
+        params = checkpoint_from_json(obj)
+    except SchemaVersionMismatch:
+        return
+    assert isinstance(params, ModelParams)
