@@ -39,7 +39,14 @@ from .extended import (
     extend,
 )
 from .frames import build_scene_graph
-from .graphs import SchemaError, graph_from_json, graph_to_json, validate_grammar
+from .graphs import (
+    SchemaError,
+    graph_from_json,
+    graph_to_json,
+    open_output,
+    validate_grammar,
+    write_json,
+)
 from .model import (
     ModelDims,
     SchemaVersionMismatch,
@@ -147,14 +154,8 @@ def _require_out(args) -> str:
     return args.out
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_meta(csv_path, prov: dict) -> None:
-    _write_json(f"{csv_path}.meta.json", {"provenance": prov})
+    write_json(f"{csv_path}.meta.json", {"provenance": prov})
 
 
 def _print_config(cfg: dict) -> None:
@@ -364,7 +365,7 @@ def cmd_eval(args) -> int:
             "provenance": prov,
         }
     )
-    _write_json(out, payload)
+    write_json(out, payload)
     if args.roc:
         metrics.write_roc_csv(report, args.roc)
         _write_meta(args.roc, prov)
@@ -402,7 +403,7 @@ def _write_decoded(data, model_path, frame: int, mode, out) -> int:
         )
         for scenario, source in zip(corpus, sources)
     )
-    with open(out, "w") as fh:
+    with open_output(out) as fh:
         for ext, probs in predict_each(params, instances):
             decoded = decode_prediction(attach_predictions(ext, probs), mode)
             record = {"scenario_id": ext.scenario_id, "graph": graph_to_json(decoded)}
@@ -561,7 +562,7 @@ def cmd_simulate(args) -> int:
         "profiles": report,
         "provenance": provenance(cfg, None),
     }
-    _write_json(out, payload)
+    write_json(out, payload)
     if args.table:
         print(sim.format_scr_table(report))
     else:
@@ -589,7 +590,7 @@ def cmd_report(args) -> int:
         "simulation": scr_obj,
         "provenance": provenance(cfg, None),
     }
-    _write_json(out, payload)
+    write_json(out, payload)
     print(f"combined report written to {out}")
     return 0
 

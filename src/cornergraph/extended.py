@@ -8,9 +8,8 @@ and decoding turns probabilities back into a graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Edge,
@@ -258,19 +257,3 @@ def instance_from_json(obj: dict) -> ExtendedGraph:
         target_frame=int(obj["frame"]),
         scenario_id=str(obj.get("scenario_id", "")),
     )
-
-
-def write_instances(path, instances: Iterable[ExtendedGraph]) -> None:
-    with open(path, "w") as fh:
-        for ext in instances:
-            fh.write(json.dumps(instance_to_json(ext), sort_keys=True) + "\n")
-
-
-def read_instances(path) -> list:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(instance_from_json(json.loads(line)))
-    return out

@@ -17,6 +17,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -339,9 +341,18 @@ _GRAPH_KEYS = {"frame", "corner_case", "nodes", "edges"}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+def _as_id(obj: dict, key: str, where: str) -> int:
+    try:
+        return int(obj[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} needs an integer {key!r}, got {obj.get(key)!r}") from exc
 
 
 def state_to_json(state: AgentState) -> dict:
@@ -359,8 +370,6 @@ def state_to_json(state: AgentState) -> dict:
 
 
 def state_from_json(obj: dict) -> AgentState:
-    if not isinstance(obj, dict):
-        raise SchemaError("state must be an object")
     _reject_unknown(obj, _STATE_KEYS, "state")
     try:
         loc = obj["location"]
@@ -406,14 +415,14 @@ def graph_to_json(graph: SceneGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> SceneGraph:
-    if not isinstance(obj, dict):
-        raise SchemaError("graph must be an object")
     _reject_unknown(obj, _GRAPH_KEYS, "graph")
     try:
         raw_nodes = obj["nodes"]
         raw_edges = obj["edges"]
     except KeyError as exc:
         raise SchemaError(f"graph missing field {exc.args[0]!r}") from exc
+    if not (isinstance(raw_nodes, list) and isinstance(raw_edges, list)):
+        raise SchemaError("graph nodes and edges must be lists")
     nodes = []
     for raw in raw_nodes:
         _reject_unknown(raw, _NODE_KEYS, "node")
@@ -422,7 +431,7 @@ def graph_from_json(obj: dict) -> SceneGraph:
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"bad node category {raw.get('category')!r}") from exc
         state = state_from_json(raw["state"]) if "state" in raw else None
-        nodes.append(Node(id=int(raw["id"]), category=category, state=state))
+        nodes.append(Node(id=_as_id(raw, "id", "node"), category=category, state=state))
     edges = []
     for raw in raw_edges:
         _reject_unknown(raw, _EDGE_KEYS, "edge")
@@ -430,7 +439,13 @@ def graph_from_json(obj: dict) -> SceneGraph:
             relation = RelationCategory(raw["relation"])
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"bad relation {raw.get('relation')!r}") from exc
-        edges.append(Edge(head=int(raw["head"]), relation=relation, tail=int(raw["tail"])))
+        edges.append(
+            Edge(
+                head=_as_id(raw, "head", "edge"),
+                relation=relation,
+                tail=_as_id(raw, "tail", "edge"),
+            )
+        )
     return SceneGraph(
         nodes=tuple(nodes),
         edges=tuple(edges),
@@ -445,6 +460,32 @@ def graph_to_json_str(graph: SceneGraph) -> str:
 
 def graph_from_json_str(text: str) -> SceneGraph:
     return graph_from_json(json.loads(text))
+
+
+def open_output(path, newline=None):
+    """Open ``path`` for writing text the way a first run into a new path does.
+
+    A regular file with a single link is unlinked first, so a rerun writes a
+    new file instead of truncating the old one: ext4 (``auto_da_alloc``)
+    flushes a file truncated to zero when it is closed, and that flush stalls
+    the writer for tens of milliseconds.  A symlink, a device, a file with
+    other hard links, or a path that cannot be unlinked is opened in place as
+    before, so the link, the device or the shared inode receives the bytes.
+    """
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.unlink(path)
+    except OSError:  # missing, or not ours to unlink: ``open`` decides
+        pass
+    return open(path, "w", newline=newline)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as one line of key-sorted JSON, through the C encoder."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True))
+        fh.write("\n")
 
 
 def sort_edges(edges: Iterable[Edge]) -> tuple:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import open_output
+
 _SENTINEL = 2.0
 
 
@@ -194,7 +196,7 @@ def sweep(predictions, labels) -> EvalReport:
 
 
 def write_roc_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fpr", "tpr"])
         for threshold, x, y in report.roc:
@@ -202,7 +204,7 @@ def write_roc_csv(report: EvalReport, path) -> None:
 
 
 def write_pr_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "recall", "precision"])
         for threshold, r, p in report.pr:

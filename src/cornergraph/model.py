@@ -31,6 +31,7 @@ from .graphs import (
     RELATION_ORDINAL,
     RelationCategory,
     SceneGraph,
+    write_json,
 )
 
 SPEED_SCALE = 30.0
@@ -570,9 +571,7 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
 
 
 def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(checkpoint_to_json(params, extra), fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, checkpoint_to_json(params, extra))
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -30,6 +30,7 @@ from .graphs import (
     state_from_json,
     state_to_json,
     validate_grammar,
+    write_json,
 )
 from .relations import stopping_distance
 
@@ -515,9 +516,7 @@ def write_corpus(path, scenarios, meta: dict | None = None) -> None:
         "meta": meta or {},
         "scenarios": [scenario_to_json(s) for s in scenarios],
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, obj)
 
 
 def read_corpus(path) -> tuple:

@@ -838,12 +838,3 @@ def format_scr_table(report) -> str:
             + "".join(f"{row[o]:16.1f}" for o in outcomes)
         )
     return "\n".join(lines)
-
-
-def write_trace_csv(path, result: EpisodeResult) -> None:
-    with open(path, "w") as fh:
-        fh.write("agent,t,x,y,heading,speed\n")
-        for agent, t, x, y, heading, speed in result.trace:
-            fh.write(
-                f"{agent},{t:.6f},{x:.6f},{y:.6f},{heading:.6f},{speed:.6f}\n"
-            )

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .extended import ExtendedGraph
+from .graphs import open_output
 from .model import DEFAULT_DIMS, ModelDims, ModelParams, forward, predict_each
 
 
@@ -147,7 +148,7 @@ class TrainLog:
     split: dict | None = None  # scenario ids per partition, when train() made one
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_loss"])
             for epoch, train_loss, val_loss in self.rows:

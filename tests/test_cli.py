@@ -1,5 +1,6 @@
 import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,10 +26,9 @@ triple_hidden=4
 """
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """One full pass: corpus, checkpoint, eval, decodes, episodes, report."""
-    root = tmp_path_factory.mktemp("pipeline")
+def run_pipeline(root):
+    """One full pass into ``root``: corpus, checkpoint, eval, decodes,
+    episodes, report; returns the output paths."""
     paths = {
         "corpus": str(root / "corpus.json"),
         "train_cfg": str(root / "train.cfg"),
@@ -36,6 +36,7 @@ def pipeline(tmp_path_factory):
         "train_log": str(root / "train_log.csv"),
         "eval": str(root / "eval.json"),
         "roc": str(root / "roc.csv"),
+        "pr": str(root / "pr.csv"),
         "decoded": str(root / "decoded.jsonl"),
         "scr": str(root / "scr.json"),
         "report": str(root / "report.json"),
@@ -48,8 +49,8 @@ def pipeline(tmp_path_factory):
         "--out", paths["model"], "--log", paths["train_log"],
     ]) == 0
     assert main([
-        "eval", "--data", paths["corpus"], "--model", paths["model"],
-        "--subset", "all", "--roc", paths["roc"], "--out", paths["eval"],
+        "eval", "--data", paths["corpus"], "--model", paths["model"], "--subset", "all",
+        "--roc", paths["roc"], "--pr", paths["pr"], "--out", paths["eval"],
     ]) == 0
     assert main([
         "perturb", "--data", paths["corpus"], "--model", paths["model"],
@@ -64,6 +65,11 @@ def pipeline(tmp_path_factory):
         "--out", paths["report"],
     ]) == 0
     return paths
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    return run_pipeline(tmp_path_factory.mktemp("pipeline"))
 
 
 def read_json(path):
@@ -84,6 +90,35 @@ def test_gen_data_reruns_byte_identical(pipeline, tmp_path):
     again = tmp_path / "again.json"
     assert main(["gen-data", "--count", "6", "--seed", "9", "--out", str(again)]) == 0
     assert again.read_bytes() == open(pipeline["corpus"], "rb").read()
+
+
+def test_pipeline_rerun_into_the_same_paths_is_byte_identical(tmp_path):
+    run_pipeline(tmp_path)
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert {"pr.csv", "train_log.csv.meta.json", "decoded.jsonl.meta.json"} <= set(first)
+    run_pipeline(tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+def test_out_through_a_symlink_keeps_the_link_and_writes_its_target(pipeline, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("stale\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["gen-data", "--count", "6", "--seed", "9", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == Path(pipeline["corpus"]).read_bytes()
+
+
+def test_out_with_a_second_hard_link_writes_both_names(pipeline, tmp_path):
+    out = tmp_path / "corpus.json"
+    out.write_text("stale\n")
+    other = tmp_path / "other.json"
+    other.hardlink_to(out)
+    assert main(["gen-data", "--count", "6", "--seed", "9", "--out", str(out)]) == 0
+    expected = Path(pipeline["corpus"]).read_bytes()
+    assert out.read_bytes() == expected
+    assert other.read_bytes() == expected
 
 
 def test_gen_data_worker_count_does_not_change_output(pipeline, tmp_path):
@@ -392,6 +427,49 @@ def test_predicted_graph_with_other_nodes_exits_3(pipeline, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "schema_version_mismatch"
     assert records[0]["scenario_id"] in err["message"]
+
+
+def _drop_node_id(graph):
+    del graph["nodes"][0]["id"]
+
+
+def _text_node_id(graph):
+    graph["nodes"][0]["id"] = "a"
+
+
+def _drop_edge_tail(graph):
+    del graph["edges"][0]["tail"]
+
+
+def _number_for_node(graph):
+    graph["nodes"][0] = 1
+
+
+def _number_for_edges(graph):
+    graph["edges"] = 5
+
+
+@pytest.mark.parametrize(
+    "breach",
+    [_drop_node_id, _text_node_id, _drop_edge_tail, _number_for_node, _number_for_edges],
+)
+def test_predicted_graph_with_a_malformed_node_or_edge_exits_3(pipeline, tmp_path, capsys, breach):
+    corpus, _ = read_corpus(pipeline["corpus"])
+    records = [
+        {"scenario_id": scn.id, "graph": graph_to_json(ground_truth_graph(scn))}
+        for scn in corpus
+    ]
+    breach(records[0]["graph"])
+    bad = tmp_path / "predicted.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "s.json"
+    code = main([
+        "simulate", "--data", pipeline["corpus"], "--predicted", str(bad),
+        "--profiles", "Normal", "--out", str(out),
+    ])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "schema_version_mismatch"
+    assert not out.exists()
 
 
 def test_predicted_graph_that_breaks_the_grammar_exits_3(pipeline, tmp_path, capsys):

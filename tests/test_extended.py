@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cornergraph.extended import (
@@ -14,8 +16,6 @@ from cornergraph.extended import (
     instance_from_json,
     instance_to_json,
     label_candidates,
-    read_instances,
-    write_instances,
 )
 from cornergraph.frames import build_scene_graph
 from cornergraph.graphs import (
@@ -192,16 +192,14 @@ def test_instance_json_round_trip():
     assert back == ext
 
 
-def test_instance_jsonl_round_trip(tmp_path):
+def test_instance_jsonl_round_trip():
     ext, scn = _labeled_instance()
     g1 = build_scene_graph(scn.frames[1])
     ext2 = label_candidates(
         extend(g1, target_frame=scn.horizon, scenario_id=scn.id),
         ground_truth_graph(scn),
     )
-    path = tmp_path / "instances.jsonl"
-    write_instances(path, [ext, ext2])
-    back = read_instances(path)
-    assert back == [ext, ext2]
-    lines = path.read_text().strip().split("\n")
+    text = "".join(json.dumps(instance_to_json(e), sort_keys=True) + "\n" for e in (ext, ext2))
+    lines = text.strip().split("\n")
     assert len(lines) == 2
+    assert [instance_from_json(json.loads(line)) for line in lines] == [ext, ext2]

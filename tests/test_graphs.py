@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +20,12 @@ from cornergraph.graphs import (
     graph_to_json,
     graph_to_json_str,
     licensed,
+    open_output,
     sort_edges,
     state_from_json,
     state_to_json,
     validate_grammar,
+    write_json,
 )
 
 
@@ -195,3 +199,73 @@ def test_speed_is_velocity_norm():
 def test_state_json_round_trip_property(x, y, vx, vy):
     state = AgentState(location=(x, y), heading=0.25, velocity=(vx, vy), braking=True)
     assert state_from_json(state_to_json(state)) == state
+
+
+# --- output files ------------------------------------------------------------
+
+
+def test_rewriting_an_output_makes_a_new_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"run": 1})
+    with open(path) as old:
+        write_json(path, {"run": 2})
+        # an unlinked file stays readable through the handle opened before
+        assert old.read() == '{"run": 1}\n'
+    assert path.read_text() == '{"run": 2}\n'
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    obj = {"b": [1.5, None, "x"], "a": {"z": True, "y": 1e-12}}
+    path = tmp_path / "out.json"
+    write_json(path, obj)
+    assert path.read_text() == json.dumps(obj, sort_keys=True) + "\n"
+
+
+def test_open_output_passes_newline_through(tmp_path):
+    path = tmp_path / "out.csv"
+    with open_output(path, newline="\r\n") as fh:
+        fh.write("a\nb\n")
+    assert path.read_bytes() == b"a\r\nb\r\n"
+
+
+_WRITE_MODE_CHARS = set("wax+")
+
+
+def _writing_calls(tree):
+    """(enclosing function, line) of each call in ``tree`` that opens a file
+    for writing, or whose mode cannot be read off the source."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and f.attr in ("write_text", "write_bytes"):
+                    found.append((name, child.lineno))
+                elif (isinstance(f, ast.Name) and f.id == "open") or (
+                    isinstance(f, ast.Attribute) and f.attr in ("open", "fdopen")
+                ):
+                    mode = child.args[1] if len(child.args) > 1 else next(
+                        (k.value for k in child.keywords if k.arg == "mode"), None
+                    )
+                    if mode is not None and not (
+                        isinstance(mode, ast.Constant)
+                        and isinstance(mode.value, str)
+                        and not _WRITE_MODE_CHARS & set(mode.value)
+                    ):
+                        found.append((name, child.lineno))
+            visit(child, name)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_open_output_opens_files_for_writing():
+    package = Path(open_output.__code__.co_filename).parent
+    sites = [
+        (path.name, func, line)
+        for path in sorted(package.glob("*.py"))
+        for func, line in _writing_calls(ast.parse(path.read_text(), str(path)))
+    ]
+    assert [(name, func) for name, func, _ in sites] == [("graphs.py", "open_output")], sites

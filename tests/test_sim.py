@@ -29,7 +29,6 @@ from cornergraph.sim import (
     run_episode,
     scr_report,
     simulate_batch,
-    write_trace_csv,
 )
 
 
@@ -311,17 +310,12 @@ def test_collision_takes_precedence_over_near_miss():
     assert result.outcome is Outcome.COLLISION
 
 
-def test_episode_determinism_and_trace(tmp_path):
+def test_episode_determinism_and_trace():
     scn = executable([parked_car(-1.75, 40.0)])
     a = run_episode(scn, PROFILES["Normal"], record=True)
     b = run_episode(scn, PROFILES["Normal"], record=True)
     assert a == b
     assert len(a.trace) > 0
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, a)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "agent,t,x,y,heading,speed"
-    assert len(lines) == len(a.trace) + 1
 
 
 def test_batch_report_and_table():
