@@ -13,8 +13,8 @@ governing seed); CSV outputs get a sibling ``<name>.meta.json``.  Outputs
 contain no timestamps and keys are sorted, so reruns are byte-identical.
 
 Errors are reported as one JSON object on stderr.  Exit codes: 2 for a
-malformed configuration, 3 for a schema-version mismatch, 4 for a missing
-input file.
+malformed configuration, 3 for an input of another schema version or one
+that does not decode, 4 for a missing input file.
 """
 
 from __future__ import annotations
@@ -41,9 +41,12 @@ from .extended import (
 from .frames import build_scene_graph
 from .graphs import (
     SchemaError,
+    decoder,
     graph_from_json,
     graph_to_json,
     open_output,
+    read_json,
+    read_json_lines,
     validate_grammar,
     write_json,
 )
@@ -79,6 +82,7 @@ class MissingInputError(CliError):
     exit_code = 4
 
 
+@decoder("config file {}", ConfigParseError)
 def parse_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise MissingInputError(f"config file not found: {path}")
@@ -105,18 +109,14 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
+@decoder("config key {1!r}", ConfigParseError)
 def _as_int(cfg: dict, key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigParseError(f"config key {key!r} must be an integer, got {cfg[key]!r}")
+    return int(cfg[key])
 
 
+@decoder("config key {1!r}", ConfigParseError)
 def _as_float(cfg: dict, key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigParseError(f"config key {key!r} must be a number, got {cfg[key]!r}")
+    return float(cfg[key])
 
 
 def resolve_config(args, defaults: dict, overrides: dict) -> dict:
@@ -181,13 +181,7 @@ def cmd_gen_data(args) -> int:
     # parallelism never changes the corpus, so keep it out of the provenance
     hashed = {k: v for k, v in cfg.items() if k != "workers"}
 
-    templates = list(scenarios.ScenarioTemplate)
-    base, rem = divmod(count, len(templates))
-    tasks = [
-        (t, seed, base + (1 if i < rem else 0))
-        for i, t in enumerate(templates)
-    ]
-    tasks = [t for t in tasks if t[2] > 0]
+    tasks = [(t, seed, quota) for t, quota in scenarios.corpus_quotas(count)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(scenarios.generate, *t) for t in tasks]
@@ -216,10 +210,17 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _split_fractions(values) -> tuple:
+    """The train/val/test fractions ``values`` spell: three numbers in [0, 1]."""
+    split = tuple(float(x) for x in values)
+    if len(split) != 3 or not all(0.0 <= x <= 1.0 for x in split):
+        raise ValueError(f"split must be three fractions in [0, 1], got {values!r}")
+    return split
+
+
+@decoder("train config", ConfigParseError)
 def _train_config(cfg: dict) -> TrainConfig:
-    split = tuple(float(x) for x in cfg["split"].split(","))
-    if len(split) != 3:
-        raise ConfigParseError("split must have three comma-separated fractions")
+    split = _split_fractions(cfg["split"].split(","))
     optimizer = cfg["optimizer"]
     if optimizer not in ("adam", "sgd"):
         raise ConfigParseError(f"unknown optimizer {optimizer!r}")
@@ -292,11 +293,7 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_obj(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as err:  # not JSON, or not text
-            raise SchemaError(f"checkpoint {path} is not JSON: {err}") from err
+    obj = read_json(path)
     return obj, checkpoint_from_json(obj)
 
 
@@ -309,19 +306,24 @@ def _source_frame(scenario, frame: int):
     return scenario.frames[frame]
 
 
-def _subset_instances(instances, obj, subset: str):
-    if subset == "all":
-        return instances
+@decoder("train_config of the checkpoint", SchemaVersionMismatch)
+def _recorded_split(obj) -> tuple | None:
+    """(split fractions, seed) the checkpoint's ``train_config`` records, or
+    None without one."""
     tc = obj.get("train_config")
     if tc is None:
+        return None
+    return _split_fractions(tc["split"]), int(tc["seed"])
+
+
+def _subset_instances(instances, recorded, subset: str):
+    if subset == "all":
+        return instances
+    if recorded is None:
         raise MissingInputError(
             "checkpoint records no train_config; only --subset all is possible"
         )
-    split = scenario_split(
-        [ext.scenario_id for ext in instances],
-        tuple(tc["split"]),
-        int(tc["seed"]),
-    )
+    split = scenario_split([ext.scenario_id for ext in instances], *recorded)
     if subset not in split:
         raise ConfigParseError(f"unknown subset {subset!r}")
     wanted = set(split[subset])
@@ -335,11 +337,12 @@ def _score_subset(data, model_path, subset: str) -> tuple:
     corpus, _ = scenarios.read_corpus(data)
     instances = scenarios.corpus_instances(corpus)
     obj, params = _load_checkpoint_obj(model_path)
-    chosen = _subset_instances(instances, obj, subset)
+    recorded = _recorded_split(obj)
+    chosen = _subset_instances(instances, recorded, subset)
     if not chosen:
         raise MissingInputError(f"subset {subset!r} selects no instances")
     probs, labels = pooled_predictions(params, chosen)
-    return probs, labels, len(chosen), obj.get("train_config", {}).get("seed")
+    return probs, labels, len(chosen), None if recorded is None else recorded[1]
 
 
 def cmd_eval(args) -> int:
@@ -434,26 +437,12 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def _read_predicted(path) -> dict:
-    out = {}
-    # bytes, so that a line that is not text fails like one that is not JSON
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                scenario_id, graph = record["scenario_id"], record["graph"]
-                if not isinstance(scenario_id, str):
-                    raise TypeError("scenario_id is not a string")
-            except (ValueError, KeyError, TypeError) as err:
-                raise SchemaError(
-                    f"{path}:{lineno}: expected a JSON object with a string "
-                    "scenario_id and a graph"
-                ) from err
-            out[scenario_id] = graph_from_json(graph)
-    return out
+def _predicted_record(record) -> tuple:
+    """(scenario id, graph) of one line of a ``--predicted`` file."""
+    scenario_id = record["scenario_id"]
+    if not isinstance(scenario_id, str):
+        raise TypeError(f"scenario_id {scenario_id!r} is not a string")
+    return scenario_id, graph_from_json(record["graph"])
 
 
 def _rollout_settings(cfg: dict) -> tuple:
@@ -502,7 +491,9 @@ def _realize_corpus(data, predicted_path, frame) -> tuple:
     without one.  The corpus and its graphs are dropped on return."""
     predicted = {}
     if predicted_path:
-        predicted = _read_predicted(_require(predicted_path, "predicted graphs"))
+        predicted = dict(
+            read_json_lines(_require(predicted_path, "predicted graphs"), _predicted_record)
+        )
     corpus, _ = scenarios.read_corpus(data)
     executables = []
     for scenario in corpus:
@@ -580,14 +571,10 @@ def cmd_report(args) -> int:
     out = _require_out(args)
     eval_path = _require(args.eval, "evaluation report")
     scr_path = _require(args.scr, "simulation report")
-    with open(eval_path) as fh:
-        eval_obj = json.load(fh)
-    with open(scr_path) as fh:
-        scr_obj = json.load(fh)
     payload = {
         "schema_version": 1,
-        "evaluation": eval_obj,
-        "simulation": scr_obj,
+        "evaluation": read_json(eval_path),
+        "simulation": read_json(scr_path),
         "provenance": provenance(cfg, None),
     }
     write_json(out, payload)
@@ -675,7 +662,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return err.exit_code
-    except (SchemaError, SchemaVersionMismatch) as err:
+    except SchemaError as err:
         print(
             json.dumps(
                 {"error": SchemaVersionError.kind, "message": str(err)},

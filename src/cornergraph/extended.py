@@ -17,10 +17,6 @@ from .graphs import (
     RELATION_ORDINAL,
     RelationCategory,
     SceneGraph,
-    SchemaError,
-    graph_from_json,
-    graph_to_json,
-    validate_grammar,
 )
 
 
@@ -205,55 +201,3 @@ def decode_prediction(ext: ExtendedGraph, mode=ConsistentArgmax()) -> SceneGraph
         is_corner_case=True,
     )
 
-
-# --- JSON-lines dataset io -------------------------------------------------
-
-_INSTANCE_KEYS = {"base", "candidates", "scenario_id", "frame"}
-_CANDIDATE_KEYS = {"head", "relation", "tail", "label", "predicted_prob"}
-
-
-def instance_to_json(ext: ExtendedGraph) -> dict:
-    candidates = []
-    for c in ext.candidates:
-        entry: dict = {"head": c.head, "relation": c.relation.value, "tail": c.tail}
-        if c.label is not None:
-            entry["label"] = c.label
-        if c.predicted_prob is not None:
-            entry["predicted_prob"] = c.predicted_prob
-        candidates.append(entry)
-    return {
-        "base": graph_to_json(ext.base),
-        "candidates": candidates,
-        "scenario_id": ext.scenario_id,
-        "frame": ext.target_frame,
-    }
-
-
-def instance_from_json(obj: dict) -> ExtendedGraph:
-    if not isinstance(obj, dict):
-        raise SchemaError("instance must be an object")
-    unknown = set(obj) - _INSTANCE_KEYS
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in instance")
-    candidates = []
-    for raw in obj["candidates"]:
-        unknown = set(raw) - _CANDIDATE_KEYS
-        if unknown:
-            raise SchemaError(f"unknown field(s) {sorted(unknown)} in candidate")
-        candidates.append(
-            CandidateEdge(
-                head=int(raw["head"]),
-                relation=RelationCategory(raw["relation"]),
-                tail=int(raw["tail"]),
-                label=int(raw["label"]) if "label" in raw else None,
-                predicted_prob=(
-                    float(raw["predicted_prob"]) if "predicted_prob" in raw else None
-                ),
-            )
-        )
-    return ExtendedGraph(
-        base=graph_from_json(obj["base"]),
-        candidates=tuple(candidates),
-        target_frame=int(obj["frame"]),
-        scenario_id=str(obj.get("scenario_id", "")),
-    )

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from .graphs import (
     ActorCategory,
     AgentState,
-    DYNAMIC_CATEGORIES,
+    CONTAINMENT_CATEGORIES,
     Edge,
     Node,
     RelationCategory,
     SceneGraph,
     SELF_STATE_CATEGORIES,
+    decoder,
     sort_edges,
 )
 from .relations import discretize_distance, discretize_relative_position, relative_angle
@@ -32,9 +33,6 @@ from .relations import discretize_distance, discretize_relative_position, relati
 
 class InvalidFrame(ValueError):
     pass
-
-
-_CONTAINMENT = {ActorCategory.LANE, ActorCategory.PAVEMENT, ActorCategory.SHOULDER}
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class Strip:
     direction: int = 0
 
     def __post_init__(self):
-        if self.category not in _CONTAINMENT:
+        if self.category not in CONTAINMENT_CATEGORIES:
             raise ValueError(f"{self.category.value} is not a road strip category")
         if self.width <= 0:
             raise ValueError("strip width must be positive")
@@ -74,11 +72,6 @@ class RoadLayout:
                 best, best_dist = i, dist
         return best
 
-    def lane_indices(self) -> list:
-        return [
-            i for i, s in enumerate(self.strips) if s.category is ActorCategory.LANE
-        ]
-
     def to_json(self) -> dict:
         return {
             "strips": [
@@ -93,6 +86,7 @@ class RoadLayout:
         }
 
     @staticmethod
+    @decoder("road layout")
     def from_json(obj: dict) -> "RoadLayout":
         strips = tuple(
             Strip(

@@ -16,12 +16,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import stat
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ActorCategory(str, Enum):
@@ -90,10 +91,9 @@ SELF_STATE_CATEGORIES = frozenset(
 #: categories allowed to carry a braking flag
 BRAKING_CATEGORIES = frozenset({ActorCategory.EGO, ActorCategory.CAR})
 
-CONTAINMENT_CATEGORIES = (
-    ActorCategory.LANE,
-    ActorCategory.PAVEMENT,
-    ActorCategory.SHOULDER,
+#: road strips: what placed actors sit in, and what sits in the road
+CONTAINMENT_CATEGORIES = frozenset(
+    {ActorCategory.LANE, ActorCategory.PAVEMENT, ActorCategory.SHOULDER}
 )
 
 
@@ -330,8 +330,64 @@ def validate_grammar(graph: SceneGraph) -> list:
 # The wire layout is strict: unknown object keys are rejected so that version
 # skew fails loudly instead of silently dropping data.
 
+
 class SchemaError(ValueError):
-    pass
+    """Outside input that does not decode: not JSON, or not the documented
+    layout."""
+
+
+#: what decoding malformed input raises from Python itself: a missing key,
+#: a short list, a value of the wrong type, or one out of range
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def decoder(what: str, error: type = SchemaError):
+    """Decorate a decoder of outside input with the one error boundary.
+
+    Whatever malformed input raises inside the decoder (``_MALFORMED``)
+    leaves it as ``error``, whose message names the input: ``what``,
+    formatted with the call's arguments, so ``"{}"`` names a file by the
+    path it was read from.  A ``SchemaError`` raised inside, by the decoder
+    or by a nested one, passes through unchanged.
+    """
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def decode(*args):
+            try:
+                return fn(*args)
+            except SchemaError:
+                raise
+            except _MALFORMED as err:
+                raise error(f"malformed {what.format(*args)}: {err!r}") from err
+
+        return decode
+
+    return wrap
+
+
+@decoder("{}")
+def read_json(path):
+    """The JSON value in the file at ``path``."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def read_json_lines(path, decode) -> list:
+    """``decode`` of each non-blank line's JSON value in the file at
+    ``path``, in file order.  A failure names the line as ``path:lineno``."""
+    # bytes, so that a line that is not text fails like one that is not JSON
+    with open(path, "rb") as fh:
+        return [
+            _decode_line(line, decode, path, lineno)
+            for lineno, line in enumerate(fh, 1)
+            if line.strip()
+        ]
+
+
+@decoder("{2}:{3}")
+def _decode_line(line: bytes, decode, path, lineno: int):
+    return decode(json.loads(line))
 
 
 _STATE_KEYS = {"location", "heading", "velocity", "braking", "light_state"}
@@ -348,13 +404,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise SchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
-def _as_id(obj: dict, key: str, where: str) -> int:
-    try:
-        return int(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} needs an integer {key!r}, got {obj.get(key)!r}") from exc
-
-
 def state_to_json(state: AgentState) -> dict:
     out: dict = {
         "location": [state.location[0], state.location[1]],
@@ -369,29 +418,20 @@ def state_to_json(state: AgentState) -> dict:
     return out
 
 
+@decoder("state")
 def state_from_json(obj: dict) -> AgentState:
     _reject_unknown(obj, _STATE_KEYS, "state")
-    try:
-        loc = obj["location"]
-        location = (float(loc[0]), float(loc[1]))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SchemaError("state.location must be [x, y]") from exc
+    loc = obj["location"]
     velocity = None
     if "velocity" in obj:
         vel = obj["velocity"]
         velocity = (float(vel[0]), float(vel[1]))
-    light = None
-    if "light_state" in obj:
-        try:
-            light = LightState(obj["light_state"])
-        except ValueError as exc:
-            raise SchemaError(f"unknown light state {obj['light_state']!r}") from exc
     return AgentState(
-        location=location,
+        location=(float(loc[0]), float(loc[1])),
         heading=float(obj.get("heading", 0.0)),
         velocity=velocity,
         braking=bool(obj["braking"]) if "braking" in obj else None,
-        light_state=light,
+        light_state=LightState(obj["light_state"]) if "light_state" in obj else None,
     )
 
 
@@ -414,36 +454,24 @@ def graph_to_json(graph: SceneGraph) -> dict:
     }
 
 
+@decoder("graph")
 def graph_from_json(obj: dict) -> SceneGraph:
     _reject_unknown(obj, _GRAPH_KEYS, "graph")
-    try:
-        raw_nodes = obj["nodes"]
-        raw_edges = obj["edges"]
-    except KeyError as exc:
-        raise SchemaError(f"graph missing field {exc.args[0]!r}") from exc
-    if not (isinstance(raw_nodes, list) and isinstance(raw_edges, list)):
-        raise SchemaError("graph nodes and edges must be lists")
     nodes = []
-    for raw in raw_nodes:
+    for raw in obj["nodes"]:
         _reject_unknown(raw, _NODE_KEYS, "node")
-        try:
-            category = ActorCategory(raw["category"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad node category {raw.get('category')!r}") from exc
         state = state_from_json(raw["state"]) if "state" in raw else None
-        nodes.append(Node(id=_as_id(raw, "id", "node"), category=category, state=state))
+        nodes.append(
+            Node(id=int(raw["id"]), category=ActorCategory(raw["category"]), state=state)
+        )
     edges = []
-    for raw in raw_edges:
+    for raw in obj["edges"]:
         _reject_unknown(raw, _EDGE_KEYS, "edge")
-        try:
-            relation = RelationCategory(raw["relation"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad relation {raw.get('relation')!r}") from exc
         edges.append(
             Edge(
-                head=_as_id(raw, "head", "edge"),
-                relation=relation,
-                tail=_as_id(raw, "tail", "edge"),
+                head=int(raw["head"]),
+                relation=RelationCategory(raw["relation"]),
+                tail=int(raw["tail"]),
             )
         )
     return SceneGraph(
@@ -452,14 +480,6 @@ def graph_from_json(obj: dict) -> SceneGraph:
         frame_index=int(obj.get("frame", 0)),
         is_corner_case=bool(obj.get("corner_case", False)),
     )
-
-
-def graph_to_json_str(graph: SceneGraph) -> str:
-    return json.dumps(graph_to_json(graph), sort_keys=True)
-
-
-def graph_from_json_str(text: str) -> SceneGraph:
-    return graph_from_json(json.loads(text))
 
 
 def open_output(path, newline=None):

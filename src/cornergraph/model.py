@@ -14,7 +14,6 @@ state get a synthetic self-loop during graph preparation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -31,6 +30,9 @@ from .graphs import (
     RELATION_ORDINAL,
     RelationCategory,
     SceneGraph,
+    SchemaError,
+    decoder,
+    read_json,
     write_json,
 )
 
@@ -44,8 +46,9 @@ _CATEGORY_INDEX = {cat: i for i, cat in enumerate(ActorCategory)}
 _LIGHT_SCALAR = {LightState.RED: 0.0, LightState.YELLOW: 0.5, LightState.GREEN: 1.0}
 
 
-class SchemaVersionMismatch(ValueError):
-    pass
+class SchemaVersionMismatch(SchemaError):
+    """A checkpoint this code cannot load: another schema version or feature
+    layout, or a malformed one."""
 
 
 def node_feature_vector(node: Node) -> np.ndarray:
@@ -528,9 +531,8 @@ def checkpoint_to_json(params: ModelParams, extra: dict | None = None) -> dict:
     return out
 
 
+@decoder("checkpoint", SchemaVersionMismatch)
 def checkpoint_from_json(obj: dict) -> ModelParams:
-    if not isinstance(obj, dict):
-        raise SchemaVersionMismatch("checkpoint must be a JSON object")
     version = obj.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise SchemaVersionMismatch(
@@ -541,31 +543,21 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
         raise SchemaVersionMismatch(
             f"checkpoint feature layout {layout!r}, expected {FEATURE_LAYOUT_ID}"
         )
-    try:
-        dims = ModelDims.from_json(obj["dims"])
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
-        raise SchemaVersionMismatch(f"checkpoint dims missing or malformed: {err!r}") from err
+    dims = ModelDims.from_json(obj["dims"])
     widths = (dims.node_features, dims.edge_features)
     if min(dims.to_json().values()) < 1 or widths != (NODE_FEATURE_SIZE, EDGE_FEATURE_SIZE):
         raise SchemaVersionMismatch(
             f"checkpoint dims {dims.to_json()} are not positive or do not fit the feature layout"
         )
-    raw_tensors = obj.get("tensors")
-    if not isinstance(raw_tensors, dict):
-        raise SchemaVersionMismatch("checkpoint has no tensors")
+    raw_tensors = obj["tensors"]
     tensors = {}
     for name, shape in parameter_shapes(dims):
-        raw = raw_tensors.get(name)
-        if not isinstance(raw, dict) or "shape" not in raw or "data" not in raw:
-            raise SchemaVersionMismatch(f"checkpoint has no tensor {name}")
+        raw = raw_tensors[name]
         if raw["shape"] != list(shape):
             raise SchemaVersionMismatch(
                 f"tensor {name} has shape {raw['shape']!r}, expected {list(shape)}"
             )
-        try:
-            data = np.asarray(raw["data"], dtype=np.float64).reshape(shape)
-        except (OverflowError, TypeError, ValueError) as err:
-            raise SchemaVersionMismatch(f"tensor {name} data malformed: {err}") from err
+        data = np.asarray(raw["data"], dtype=np.float64).reshape(shape)
         tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(dims, tensors)
 
@@ -575,5 +567,4 @@ def save_checkpoint(path, params: ModelParams, extra: dict | None = None) -> Non
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path) as fh:
-        return checkpoint_from_json(json.load(fh))
+    return checkpoint_from_json(read_json(path))

@@ -11,7 +11,6 @@ reproducible element by element and generation parallelizes trivially.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,12 +20,16 @@ import numpy as np
 from .extended import extend, label_candidates
 from .frames import FrameSnapshot, PlacedActor, RoadLayout, Strip, build_scene_graph
 from .graphs import (
+    DYNAMIC_CATEGORIES,
     ActorCategory,
     AgentState,
     LightState,
     RelationCategory,
     SceneGraph,
     SchemaError,
+    _reject_unknown,
+    decoder,
+    read_json,
     state_from_json,
     state_to_json,
     validate_grammar,
@@ -305,21 +308,12 @@ _BUILDERS = {
     ScenarioTemplate.RED_LIGHT_RUNNER: _red_light_runner,
 }
 
-_DYNAMIC = frozenset(
-    {
-        ActorCategory.EGO,
-        ActorCategory.CAR,
-        ActorCategory.BICYCLE,
-        ActorCategory.PEDESTRIAN,
-    }
-)
-
 
 def _actor_state(draft: _Draft, actor: int, t: int, n: int) -> AgentState:
     cat = draft.categories[actor]
     path = draft.paths[actor]
     velocity = None
-    if cat in _DYNAMIC:
+    if cat in DYNAMIC_CATEGORIES:
         step = t if t < n else n - 1
         dx = (path[step + 1][0] - path[step][0]) / FRAME_PERIOD
         dy = (path[step + 1][1] - path[step][1]) / FRAME_PERIOD
@@ -395,16 +389,18 @@ def generate(template: ScenarioTemplate, seed: int, count: int) -> list:
     return [_generate_one(template, seed, i) for i in range(count)]
 
 
+def corpus_quotas(count: int) -> list:
+    """``(template, scenario count)`` of a balanced ``count``-scenario corpus,
+    in template order: sizes differ by at most one, and a template with none
+    is left out."""
+    base, rem = divmod(count, len(ScenarioTemplate))
+    quotas = [(t, base + (1 if i < rem else 0)) for i, t in enumerate(ScenarioTemplate)]
+    return [(t, quota) for t, quota in quotas if quota]
+
+
 def generate_corpus(seed: int, count: int = 600) -> list:
-    """Balanced corpus across all templates; sizes differ by at most one."""
-    templates = list(ScenarioTemplate)
-    base, rem = divmod(count, len(templates))
-    out = []
-    for i, template in enumerate(templates):
-        quota = base + (1 if i < rem else 0)
-        if quota:
-            out.extend(generate(template, seed, quota))
-    return out
+    """Balanced corpus across all templates, in ``corpus_quotas`` order."""
+    return [s for t, quota in corpus_quotas(count) for s in generate(t, seed, quota)]
 
 
 def ground_truth_graph(scenario: Scenario) -> SceneGraph:
@@ -473,31 +469,28 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
+@decoder("scenario")
 def scenario_from_json(obj: dict) -> Scenario:
-    if not isinstance(obj, dict):
-        raise SchemaError("scenario must be an object")
-    unknown = set(obj) - _SCENARIO_KEYS
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in scenario")
+    _reject_unknown(obj, _SCENARIO_KEYS, "scenario")
     layout = RoadLayout.from_json(obj["layout"])
     frames = []
     for raw in obj["frames"]:
-        unknown = set(raw) - _FRAME_KEYS
-        if unknown:
-            raise SchemaError(f"unknown field(s) {sorted(unknown)} in frame")
-        actors = tuple(
-            PlacedActor(
-                category=ActorCategory(a["category"]),
-                state=state_from_json(a["state"]),
+        _reject_unknown(raw, _FRAME_KEYS, "frame")
+        actors = []
+        for a in raw["actors"]:
+            _reject_unknown(a, _ACTOR_KEYS, "actor")
+            actors.append(
+                PlacedActor(
+                    category=ActorCategory(a["category"]),
+                    state=state_from_json(a["state"]),
+                )
             )
-            for a in raw["actors"]
-        )
         frames.append(
             FrameSnapshot(
                 index=int(raw["index"]),
                 is_corner_case=bool(raw["corner_case"]),
                 layout=layout,
-                actors=actors,
+                actors=tuple(actors),
             )
         )
     return Scenario(
@@ -519,12 +512,9 @@ def write_corpus(path, scenarios, meta: dict | None = None) -> None:
     write_json(path, obj)
 
 
+@decoder("corpus {}")
 def read_corpus(path) -> tuple:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as err:  # not JSON, or not text
-            raise SchemaError(f"corpus {path} is not JSON: {err}") from err
+    obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("schema_version") != 1:
         raise SchemaError(f"unsupported corpus schema in {path}")
     scenarios = [scenario_from_json(raw) for raw in obj["scenarios"]]

@@ -30,6 +30,7 @@ import numpy as np
 from .extended import NodeMismatch
 from .frames import RoadLayout
 from .graphs import (
+    CONTAINMENT_CATEGORIES,
     ActorCategory,
     AgentState,
     RelationCategory,
@@ -71,9 +72,6 @@ BASIC_EMERGENCY_GAP = 5.0
 
 _ADVERSARY_CATEGORIES = frozenset(
     {ActorCategory.CAR, ActorCategory.BICYCLE, ActorCategory.PEDESTRIAN}
-)
-_STRIP_CATEGORIES = frozenset(
-    {ActorCategory.LANE, ActorCategory.PAVEMENT, ActorCategory.SHOULDER}
 )
 
 
@@ -451,7 +449,7 @@ def realize(
     ego_x, ego_y0 = ego.state.location
     v_e = ego.state.speed
 
-    strip_ids = [n.id for n in regular.nodes if n.category in _STRIP_CATEGORIES]
+    strip_ids = [n.id for n in regular.nodes if n.category in CONTAINMENT_CATEGORIES]
     strip_center = {
         nid: layout.strips[i].center for i, nid in enumerate(strip_ids)
     }

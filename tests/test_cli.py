@@ -322,20 +322,28 @@ def test_print_config_resolves_precedence(tmp_path, capsys):
 
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not a pair\n")
-    code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "config_parse"
-    assert "expected key=value" in err["message"]
+    for content, message in [
+        (b"not a pair\n", "expected key=value"),
+        (b"count=6\nseed=\xff\xfe\n", "utf-8"),
+    ]:
+        cfg.write_bytes(content)
+        code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
+        assert code == 2, content
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_parse"
+        assert message in err["message"]
 
 
-def test_non_numeric_value_exits_2(tmp_path, capsys):
+def test_non_numeric_value_exits_2(pipeline, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("count=banana\n")
-    code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config_parse"
+    for setting, argv in [
+        ("count=banana", ["gen-data"]),
+        ("split=a,b,c", ["train", "--data", pipeline["corpus"]]),
+    ]:
+        cfg.write_text(setting + "\n")
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.json")])
+        assert code == 2, setting
+        assert json.loads(capsys.readouterr().err)["error"] == "config_parse"
 
 
 def test_duplicate_config_key_exits_2(tmp_path, capsys):
@@ -595,6 +603,101 @@ def test_predicted_line_that_is_not_a_record_exits_3(pipeline, tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "schema_version_mismatch"
     assert "predicted.jsonl:1" in err["message"]
+
+
+def _report_with_not_json(flag):
+    def argv(pipeline, tmp_path):
+        bad = tmp_path / "report.txt"
+        bad.write_text("report goes here\n")
+        inputs = {"--eval": pipeline["eval"], "--scr": pipeline["scr"], flag: str(bad)}
+        return ["report", *(arg for pair in inputs.items() for arg in pair)]
+
+    return argv
+
+
+def _edited_corpus(edit):
+    def argv(pipeline, tmp_path):
+        obj = read_json(pipeline["corpus"])
+        edit(obj)
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(obj))
+        return ["simulate", "--data", str(bad), "--profiles", "Normal"]
+
+    return argv
+
+
+def _edited_predicted(edit):
+    def argv(pipeline, tmp_path):
+        corpus, _ = read_corpus(pipeline["corpus"])
+        records = [
+            {"scenario_id": scn.id, "graph": graph_to_json(ground_truth_graph(scn))}
+            for scn in corpus
+        ]
+        edit(records[0]["graph"])
+        bad = tmp_path / "predicted.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return ["simulate", "--data", pipeline["corpus"], "--predicted", str(bad), "--profiles", "Normal"]
+
+    return argv
+
+
+def _edited_checkpoint(edit):
+    def argv(pipeline, tmp_path):
+        obj = read_json(pipeline["model"])
+        edit(obj)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj))
+        return ["eval", "--data", pipeline["corpus"], "--model", str(bad), "--subset", "test"]
+
+    return argv
+
+
+def _set(*path, value):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return edit
+
+
+def _drop(*path):
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+
+    return edit
+
+
+_MALFORMED_INPUTS = {
+    "eval-report-not-json": _report_with_not_json("--eval"),
+    "scr-report-not-json": _report_with_not_json("--scr"),
+    "scenario-without-layout": _edited_corpus(_drop("scenarios", 0, "layout")),
+    "strip-width-negative": _edited_corpus(
+        _set("scenarios", 0, "layout", "strips", 0, "width", value=-1)
+    ),
+    "actor-category-tank": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 1, "category", value="Tank")
+    ),
+    "scenarios-not-a-list": _edited_corpus(_set("scenarios", value=5)),
+    "state-heading-text": _edited_predicted(_set("nodes", 0, "state", "heading", value="x")),
+    "state-velocity-short": _edited_predicted(_set("nodes", 0, "state", "velocity", value=[1])),
+    "graph-frame-text": _edited_predicted(_set("frame", value="x")),
+    "train-config-without-split": _edited_checkpoint(_drop("train_config", "split")),
+    "train-config-not-an-object": _edited_checkpoint(_set("train_config", value="x")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_exits_3_without_a_traceback(pipeline, tmp_path, capsys, case):
+    out = tmp_path / "out.json"
+    code = main(_MALFORMED_INPUTS[case](pipeline, tmp_path) + ["--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert err["message"].startswith("malformed ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "perturb"])

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from cornergraph.extended import (
@@ -13,8 +11,6 @@ from cornergraph.extended import (
     decode_prediction,
     enumerate_candidates,
     extend,
-    instance_from_json,
-    instance_to_json,
     label_candidates,
 )
 from cornergraph.frames import build_scene_graph
@@ -185,21 +181,3 @@ def test_decoded_graph_is_grammatical_and_sorted(simple_frame):
     keys = [e.key() for e in decoded.edges]
     assert keys == sorted(keys)
 
-
-def test_instance_json_round_trip():
-    ext, _ = _labeled_instance()
-    back = instance_from_json(instance_to_json(ext))
-    assert back == ext
-
-
-def test_instance_jsonl_round_trip():
-    ext, scn = _labeled_instance()
-    g1 = build_scene_graph(scn.frames[1])
-    ext2 = label_candidates(
-        extend(g1, target_frame=scn.horizon, scenario_id=scn.id),
-        ground_truth_graph(scn),
-    )
-    text = "".join(json.dumps(instance_to_json(e), sort_keys=True) + "\n" for e in (ext, ext2))
-    lines = text.strip().split("\n")
-    assert len(lines) == 2
-    assert [instance_from_json(json.loads(line)) for line in lines] == [ext, ext2]

@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cornergraph.graphs import (
     ActorCategory,
@@ -16,9 +16,7 @@ from cornergraph.graphs import (
     SceneGraph,
     SchemaError,
     graph_from_json,
-    graph_from_json_str,
     graph_to_json,
-    graph_to_json_str,
     licensed,
     open_output,
     sort_edges,
@@ -27,6 +25,7 @@ from cornergraph.graphs import (
     validate_grammar,
     write_json,
 )
+from json_fuzz import field_paths, json_values, replaced
 
 
 def test_category_counts():
@@ -162,10 +161,9 @@ def test_graph_json_round_trip():
 
 def test_graph_str_round_trip_is_byte_stable():
     g = _graph()
-    s1 = graph_to_json_str(g)
-    s2 = graph_to_json_str(graph_from_json_str(s1))
+    s1 = json.dumps(graph_to_json(g))
+    s2 = json.dumps(graph_to_json(graph_from_json(json.loads(s1))))
     assert s1 == s2
-    json.loads(s1)
 
 
 def test_unknown_fields_rejected():
@@ -201,6 +199,32 @@ def test_state_json_round_trip_property(x, y, vx, vy):
     assert state_from_json(state_to_json(state)) == state
 
 
+_FUZZ_STATE = state_to_json(
+    AgentState((1.0, 2.0), 0.5, (0.0, 3.0), braking=True, light_state=LightState.RED)
+)
+_FUZZ_GRAPH = graph_to_json(_graph())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(field_paths(_FUZZ_STATE)), json_values)
+def test_state_from_json_returns_a_state_or_raises_schema_error(path, value):
+    try:
+        state = state_from_json(replaced(_FUZZ_STATE, path, value))
+    except SchemaError:
+        return
+    assert isinstance(state, AgentState)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(field_paths(_FUZZ_GRAPH)), json_values)
+def test_graph_from_json_returns_a_graph_or_raises_schema_error(path, value):
+    try:
+        graph = graph_from_json(replaced(_FUZZ_GRAPH, path, value))
+    except SchemaError:
+        return
+    assert isinstance(graph, SceneGraph)
+
+
 # --- output files ------------------------------------------------------------
 
 
@@ -231,41 +255,71 @@ def test_open_output_passes_newline_through(tmp_path):
 _WRITE_MODE_CHARS = set("wax+")
 
 
-def _writing_calls(tree):
-    """(enclosing function, line) of each call in ``tree`` that opens a file
-    for writing, or whose mode cannot be read off the source."""
+def _calls(tree, match):
+    """The enclosing function of each call in ``tree`` that ``match``
+    accepts."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
-            if isinstance(child, ast.Call):
-                f = child.func
-                if isinstance(f, ast.Attribute) and f.attr in ("write_text", "write_bytes"):
-                    found.append((name, child.lineno))
-                elif (isinstance(f, ast.Name) and f.id == "open") or (
-                    isinstance(f, ast.Attribute) and f.attr in ("open", "fdopen")
-                ):
-                    mode = child.args[1] if len(child.args) > 1 else next(
-                        (k.value for k in child.keywords if k.arg == "mode"), None
-                    )
-                    if mode is not None and not (
-                        isinstance(mode, ast.Constant)
-                        and isinstance(mode.value, str)
-                        and not _WRITE_MODE_CHARS & set(mode.value)
-                    ):
-                        found.append((name, child.lineno))
+            if isinstance(child, ast.Call) and match(child):
+                found.append(name)
             visit(child, name)
 
     visit(tree, None)
     return found
 
 
-def test_only_open_output_opens_files_for_writing():
+def _opens_for_writing(call) -> bool:
+    """True for a call that opens a file for writing, or whose mode cannot
+    be read off the source."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and f.attr in ("write_text", "write_bytes"):
+        return True
+    if (isinstance(f, ast.Name) and f.id == "open") or (
+        isinstance(f, ast.Attribute) and f.attr in ("open", "fdopen")
+    ):
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None
+        )
+        return mode is not None and not (
+            isinstance(mode, ast.Constant)
+            and isinstance(mode.value, str)
+            and not _WRITE_MODE_CHARS & set(mode.value)
+        )
+    return False
+
+
+def _parses_json(call) -> bool:
+    f = call.func
+    return (
+        isinstance(f, ast.Attribute)
+        and f.attr in ("load", "loads")
+        and isinstance(f.value, ast.Name)
+        and f.value.id == "json"
+    )
+
+
+def _package_calls(match) -> list:
+    """(module, enclosing function) of each call ``match`` accepts in the
+    package's sources."""
     package = Path(open_output.__code__.co_filename).parent
-    sites = [
-        (path.name, func, line)
+    return [
+        (path.name, func)
         for path in sorted(package.glob("*.py"))
-        for func, line in _writing_calls(ast.parse(path.read_text(), str(path)))
+        for func in _calls(ast.parse(path.read_text(), str(path)), match)
     ]
-    assert [(name, func) for name, func, _ in sites] == [("graphs.py", "open_output")], sites
+
+
+def test_only_open_output_opens_files_for_writing():
+    assert _package_calls(_opens_for_writing) == [("graphs.py", "open_output")]
+
+
+def test_only_read_json_parses_input():
+    # every input file goes through the decode boundary on read_json and on
+    # its per-line helper
+    assert _package_calls(_parses_json) == [
+        ("graphs.py", "read_json"),
+        ("graphs.py", "_decode_line"),
+    ]

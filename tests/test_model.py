@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +42,7 @@ from cornergraph.model import (
 )
 from cornergraph.autodiff import MissingSelfEdge
 from cornergraph.scenarios import ScenarioTemplate, generate, to_instances
+from json_fuzz import json_values, replaced
 
 
 def leaky(x, slope=0.2):
@@ -397,26 +396,11 @@ _FUZZ_PATHS = (
         )
     ]
 )
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=12,
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_FUZZ_PATHS), _json_values)
+@given(st.sampled_from(_FUZZ_PATHS), json_values)
 def test_checkpoint_from_json_returns_params_or_raises_schema_mismatch(path, value):
-    obj = copy.deepcopy(_FUZZ_CHECKPOINT)
-    if path:
-        parent = obj
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        obj = value
     try:
-        params = checkpoint_from_json(obj)
+        params = checkpoint_from_json(replaced(_FUZZ_CHECKPOINT, path, value))
     except SchemaVersionMismatch:
         return
     assert isinstance(params, ModelParams)

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cornergraph.frames import build_scene_graph
 from cornergraph.graphs import (
@@ -31,6 +32,7 @@ from cornergraph.scenarios import (
     urban_layout,
     write_corpus,
 )
+from json_fuzz import field_paths, json_values, replaced
 
 ALL_TEMPLATES = list(ScenarioTemplate)
 
@@ -242,3 +244,16 @@ def test_corpus_file_round_trip(tmp_path):
 def test_generate_rejects_bad_count():
     with pytest.raises(ValueError):
         generate(ScenarioTemplate.MOTORWAY_MERGE, 0, 0)
+
+
+_FUZZ_SCENARIO = scenario_to_json(generate(ScenarioTemplate.RED_LIGHT_RUNNER, 5, 1)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(field_paths(_FUZZ_SCENARIO)), json_values)
+def test_scenario_from_json_returns_a_scenario_or_raises_schema_error(path, value):
+    try:
+        scenario = scenario_from_json(replaced(_FUZZ_SCENARIO, path, value))
+    except SchemaError:
+        return
+    assert isinstance(scenario, Scenario)
