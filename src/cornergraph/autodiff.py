@@ -12,8 +12,9 @@ forward.  Each block of the model is an op of its own, defined in
 ``model``; this module holds the engine and ``elu``, the one element-wise
 op the model applies between blocks.
 
-Gradients accumulate across backward calls until ``zero_grad``; this is
-deliberate and relied on nowhere, but matches the usual contract.
+Gradients accumulate across backward calls, in place once a leaf has a
+``grad``: ``model.ModelParams.zero_grad`` binds each parameter's ``grad`` to
+a view of one flat buffer and zeroes that buffer between steps.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Tensor:
         if self.data.size != 1:
             raise NotScalar(f"tensor of shape {self.data.shape} is not a scalar")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

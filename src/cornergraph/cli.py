@@ -13,8 +13,9 @@ governing seed); CSV outputs get a sibling ``<name>.meta.json``.  Outputs
 contain no timestamps and keys are sorted, so reruns are byte-identical.
 
 Errors are reported as one JSON object on stderr.  Exit codes: 2 for a
-malformed configuration, 3 for an input of another schema version or one
-that does not decode, 4 for a missing input file.
+malformed configuration, 3 for an input of another schema version, one
+that does not decode or a frame that describes no scene, 4 for a missing
+input file.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import metrics, scenarios, sim
 from .extended import (
@@ -168,28 +168,20 @@ def _print_config(cfg: dict) -> None:
 def cmd_gen_data(args) -> int:
     cfg = resolve_config(
         args,
-        {"count": "600", "seed": "42", "workers": "1"},
-        {"count": args.count, "seed": args.seed, "workers": args.workers},
+        {"count": "600", "seed": "42"},
+        {"count": args.count, "seed": args.seed},
     )
     if args.print_config:
         _print_config(cfg)
         return 0
     out = _require_out(args)
     count = _as_int(cfg, "count")
-    seed = _as_int(cfg, "seed")
-    workers = _as_int(cfg, "workers")
-    # parallelism never changes the corpus, so keep it out of the provenance
-    hashed = {k: v for k, v in cfg.items() if k != "workers"}
+    seed = _seed(cfg)
+    if count < 1:
+        raise ConfigParseError(f"config key 'count' must be at least 1, got {count}")
 
-    tasks = [(t, seed, quota) for t, quota in scenarios.corpus_quotas(count)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(scenarios.generate, *t) for t in tasks]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [scenarios.generate(*t) for t in tasks]
-    corpus = [s for chunk in chunks for s in chunk]
-    scenarios.write_corpus(out, corpus, meta={"provenance": provenance(hashed, seed)})
+    corpus = scenarios.generate_corpus(seed, count)
+    scenarios.write_corpus(out, corpus, meta={"provenance": provenance(cfg, seed)})
     print(f"wrote {len(corpus)} scenarios to {out}")
     return 0
 
@@ -210,6 +202,13 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _seed(cfg: dict) -> int:
+    seed = _as_int(cfg, "seed")
+    if seed < 0:
+        raise ConfigParseError(f"config key 'seed' must be non-negative, got {seed}")
+    return seed
+
+
 def _split_fractions(values) -> tuple:
     """The train/val/test fractions ``values`` spell: three numbers in [0, 1]."""
     split = tuple(float(x) for x in values)
@@ -228,7 +227,7 @@ def _train_config(cfg: dict) -> TrainConfig:
         learning_rate=_as_float(cfg, "learning_rate"),
         epochs=_as_int(cfg, "epochs"),
         optimizer=optimizer,
-        seed=_as_int(cfg, "seed"),
+        seed=_seed(cfg),
         split=split,
         positive_weight=_as_float(cfg, "positive_weight"),
         early_stop_patience=_as_int(cfg, "early_stop_patience"),
@@ -313,7 +312,10 @@ def _recorded_split(obj) -> tuple | None:
     tc = obj.get("train_config")
     if tc is None:
         return None
-    return _split_fractions(tc["split"]), int(tc["seed"])
+    seed = int(tc["seed"])
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return _split_fractions(tc["split"]), seed
 
 
 def _subset_instances(instances, recorded, subset: str):
@@ -604,7 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a scenario corpus")
     common(p)
     p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--workers", type=int, help="worker processes")
     p.add_argument("--count", type=int, help="number of scenarios")
     p.set_defaults(func=cmd_gen_data)
 

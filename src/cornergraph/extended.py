@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .graphs import (
+    DISTANCE_RELATIONS,
     Edge,
     LICENSED_TRIPLES,
     RELATION_ORDINAL,
@@ -158,7 +159,7 @@ class ConsistentArgmax:
 def _group_key(c: CandidateEdge):
     if c.relation is RelationCategory.IS_IN:
         return ("isin", c.head)
-    if c.relation in (RelationCategory.SAFE_DISTANCE, RelationCategory.UNSAFE_DISTANCE):
+    if c.relation in DISTANCE_RELATIONS:
         return ("distance", c.head, c.tail)
     return ("quadrant", c.head, c.tail)
 

@@ -17,13 +17,16 @@ import math
 from dataclasses import dataclass
 
 from .graphs import (
+    ADVERSARY_CATEGORIES,
     ActorCategory,
     AgentState,
     CONTAINMENT_CATEGORIES,
     Edge,
     Node,
+    PLACEABLE_CATEGORIES,
     RelationCategory,
     SceneGraph,
+    SchemaError,
     SELF_STATE_CATEGORIES,
     decoder,
     sort_edges,
@@ -31,8 +34,9 @@ from .graphs import (
 from .relations import discretize_distance, discretize_relative_position, relative_angle
 
 
-class InvalidFrame(ValueError):
-    pass
+class InvalidFrame(SchemaError):
+    """A frame that decodes but describes no scene: its first actor is not
+    the one Ego, or an actor lies in no road element."""
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,10 @@ class RoadLayout:
 class PlacedActor:
     category: ActorCategory
     state: AgentState
+
+    def __post_init__(self):
+        if self.category not in PLACEABLE_CATEGORIES:
+            raise ValueError(f"{self.category.value} is not a placeable actor category")
 
 
 @dataclass(frozen=True)
@@ -182,11 +190,7 @@ def build_scene_graph(frame: FrameSnapshot) -> SceneGraph:
         dx = actor.state.location[0] - ego.state.location[0]
         dy = actor.state.location[1] - ego.state.location[1]
         separation = math.hypot(dx, dy)
-        if actor.category in (
-            ActorCategory.CAR,
-            ActorCategory.BICYCLE,
-            ActorCategory.PEDESTRIAN,
-        ):
+        if actor.category in ADVERSARY_CATEGORIES:
             edges.append(
                 Edge(
                     head=i,

@@ -96,38 +96,29 @@ CONTAINMENT_CATEGORIES = frozenset(
     {ActorCategory.LANE, ActorCategory.PAVEMENT, ActorCategory.SHOULDER}
 )
 
+#: what a frame places on the road: every category but the strips and the road
+PLACEABLE_CATEGORIES = frozenset(
+    set(ActorCategory) - CONTAINMENT_CATEGORIES - {ActorCategory.ROAD}
+)
+
+#: the actors other than the ego that move: they relate back to the ego by
+#: separation and bearing, and realization gives each a plan
+ADVERSARY_CATEGORIES = DYNAMIC_CATEGORIES - {ActorCategory.EGO}
+
 
 def _build_licensed_triples() -> frozenset:
     triples = set()
-    placeable = (
-        ActorCategory.EGO,
-        ActorCategory.CAR,
-        ActorCategory.BICYCLE,
-        ActorCategory.PEDESTRIAN,
-        ActorCategory.TRAFFIC_LIGHT,
-        ActorCategory.OBJECT,
-    )
-    for head in placeable:
+    for head in PLACEABLE_CATEGORIES:
         for tail in CONTAINMENT_CATEGORIES:
             triples.add((head, RelationCategory.IS_IN, tail))
     for head in CONTAINMENT_CATEGORIES:
         triples.add((head, RelationCategory.IS_IN, ActorCategory.ROAD))
     # the ego tracks its separation from surrounding actors and the road edge
-    for tail in (
-        ActorCategory.CAR,
-        ActorCategory.BICYCLE,
-        ActorCategory.PEDESTRIAN,
-        ActorCategory.OBJECT,
-        ActorCategory.TRAFFIC_LIGHT,
-        ActorCategory.SHOULDER,
-    ):
+    for tail in (PLACEABLE_CATEGORIES - {ActorCategory.EGO}) | {ActorCategory.SHOULDER}:
         for rel in DISTANCE_RELATIONS:
             triples.add((ActorCategory.EGO, rel, tail))
-    # moving adversaries relate back to the ego by separation and bearing
-    for head in (ActorCategory.CAR, ActorCategory.BICYCLE, ActorCategory.PEDESTRIAN):
-        for rel in DISTANCE_RELATIONS:
-            triples.add((head, rel, ActorCategory.EGO))
-        for rel in QUADRANT_RELATIONS:
+    for head in ADVERSARY_CATEGORIES:
+        for rel in DISTANCE_RELATIONS + QUADRANT_RELATIONS:
             triples.add((head, rel, ActorCategory.EGO))
     return frozenset(triples)
 

@@ -184,9 +184,9 @@ class ModelParams:
     in tensor order, and each tensor's ``data`` is a reshaped view into it;
     the tensors passed in are adopted, their data copied into ``flat``.
     Gradients get a second buffer, ``flat_grad``, with each ``grad`` a view
-    into it, from the first ``zero_grad`` or ``collect_grad`` on: a snapshot
-    or a loaded checkpoint never needs one.  An optimizer updates every
-    parameter with one pass over the buffers.
+    into it, from the first ``zero_grad`` on: a snapshot or a loaded
+    checkpoint never needs one.  An optimizer updates every parameter with
+    one pass over the buffers.
 
     Weights start uniform in +-1/sqrt(fan_in); biases start at zero.  The
     total count is asserted at construction, and the reference configuration
@@ -208,7 +208,6 @@ class ModelParams:
         for t, view in zip(tensors.values(), self._views(self.flat)):
             t.data = view
         self.flat_grad = None
-        self._grad_views = []
 
     def _views(self, buffer: np.ndarray) -> list:
         """Each tensor's reshaped view of ``buffer``, in tensor order."""
@@ -217,10 +216,6 @@ class ModelParams:
             views.append(buffer[at : at + t.data.size].reshape(t.data.shape))
             at += t.data.size
         return views
-
-    def _make_grad_buffer(self) -> None:
-        self.flat_grad = np.zeros(self.flat.size)
-        self._grad_views = self._views(self.flat_grad)
 
     @classmethod
     def initialize(cls, dims: ModelDims = DEFAULT_DIMS, seed: int = 0) -> "ModelParams":
@@ -246,24 +241,14 @@ class ModelParams:
         return self.tensors.items()
 
     def zero_grad(self) -> None:
+        """Zero ``flat_grad``; the first call makes it and binds each
+        tensor's ``grad`` to its view, which backward then adds into."""
         if self.flat_grad is None:
-            self._make_grad_buffer()
+            self.flat_grad = np.zeros(self.flat.size)
+            for t, view in zip(self.tensors.values(), self._views(self.flat_grad)):
+                t.grad = view
         else:
             self.flat_grad.fill(0.0)
-        for t, view in zip(self.tensors.values(), self._grad_views):
-            t.grad = view
-
-    def collect_grad(self) -> np.ndarray:
-        """The gradient buffer, after folding in every tensor whose ``grad``
-        is not its view: one that backward allocated before the buffer
-        existed, or that was cleared (counted as zero) or rebound since."""
-        if self.flat_grad is None:
-            self._make_grad_buffer()
-        for t, view in zip(self.tensors.values(), self._grad_views):
-            if t.grad is not view:
-                view[...] = 0.0 if t.grad is None else t.grad
-                t.grad = view
-        return self.flat_grad
 
     def clone(self) -> "ModelParams":
         # views of this buffer, copied into the clone's own in one concatenation

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 
-from .graphs import AgentState, RelationCategory
+from .graphs import AgentState, RelationCategory, SchemaError
 
 
-class DegenerateGeometry(ValueError):
-    """Raised when two actors share a location and no bearing exists."""
+class DegenerateGeometry(SchemaError):
+    """Raised when two actors share a location and no bearing exists: a
+    frame that places them so describes no scene."""
 
 
 #: (speed m/s, stopping distance m); 20..70 mph in 10 mph steps

@@ -6,7 +6,7 @@ ends up in the ego's lane, close ahead.  Parameter ranges are chosen so the
 terminal frame always discretizes to an unsafe-separation, in-front relation
 pair regardless of the draw, and the opening frame always builds a valid
 graph.  Sampling is seeded per (template, corpus seed, index), so corpora are
-reproducible element by element and generation parallelizes trivially.
+reproducible element by element.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .extended import extend, label_candidates
 from .frames import FrameSnapshot, PlacedActor, RoadLayout, Strip, build_scene_graph
 from .graphs import (
+    BRAKING_CATEGORIES,
     DYNAMIC_CATEGORIES,
     ActorCategory,
     AgentState,
@@ -319,7 +320,7 @@ def _actor_state(draft: _Draft, actor: int, t: int, n: int) -> AgentState:
         dy = (path[step + 1][1] - path[step][1]) / FRAME_PERIOD
         velocity = (dx, dy)
     braking = None
-    if cat in (ActorCategory.EGO, ActorCategory.CAR):
+    if cat in BRAKING_CATEGORIES:
         start = draft.braking_from.get(actor)
         braking = start is not None and t >= start
     return AgentState(
@@ -389,18 +390,16 @@ def generate(template: ScenarioTemplate, seed: int, count: int) -> list:
     return [_generate_one(template, seed, i) for i in range(count)]
 
 
-def corpus_quotas(count: int) -> list:
-    """``(template, scenario count)`` of a balanced ``count``-scenario corpus,
-    in template order: sizes differ by at most one, and a template with none
-    is left out."""
-    base, rem = divmod(count, len(ScenarioTemplate))
-    quotas = [(t, base + (1 if i < rem else 0)) for i, t in enumerate(ScenarioTemplate)]
-    return [(t, quota) for t, quota in quotas if quota]
-
-
 def generate_corpus(seed: int, count: int = 600) -> list:
-    """Balanced corpus across all templates, in ``corpus_quotas`` order."""
-    return [s for t, quota in corpus_quotas(count) for s in generate(t, seed, quota)]
+    """Balanced corpus across all templates, in template order: template
+    sizes differ by at most one, and a template with none is left out."""
+    base, rem = divmod(count, len(ScenarioTemplate))
+    out = []
+    for i, template in enumerate(ScenarioTemplate):
+        quota = base + (1 if i < rem else 0)
+        if quota:
+            out.extend(generate(template, seed, quota))
+    return out
 
 
 def ground_truth_graph(scenario: Scenario) -> SceneGraph:
@@ -518,4 +517,6 @@ def read_corpus(path) -> tuple:
     if not isinstance(obj, dict) or obj.get("schema_version") != 1:
         raise SchemaError(f"unsupported corpus schema in {path}")
     scenarios = [scenario_from_json(raw) for raw in obj["scenarios"]]
+    if not scenarios:
+        raise ValueError("the corpus holds no scenarios")
     return scenarios, obj.get("meta", {})

@@ -30,7 +30,10 @@ import numpy as np
 from .extended import NodeMismatch
 from .frames import RoadLayout
 from .graphs import (
+    ADVERSARY_CATEGORIES,
     CONTAINMENT_CATEGORIES,
+    DISTANCE_RELATIONS,
+    QUADRANT_RELATIONS,
     ActorCategory,
     AgentState,
     RelationCategory,
@@ -69,11 +72,6 @@ STANDSTILL_GAP = 2.5
 EGO_ACCEL = 3.0
 #: surface gap below which the non-reactive profile slams the brakes
 BASIC_EMERGENCY_GAP = 5.0
-
-_ADVERSARY_CATEGORIES = frozenset(
-    {ActorCategory.CAR, ActorCategory.BICYCLE, ActorCategory.PEDESTRIAN}
-)
-
 
 class Outcome(str, Enum):
     COLLISION = "Collision"
@@ -257,9 +255,8 @@ def polygon_clearance(poly_a, poly_b):
 class AdversaryPlan:
     """Piecewise-linear waypoint schedule with a terminal behavior.
 
-    ``post_mode`` is one of "park" (hold the last waypoint), "cruise" (carry
-    on with ``post_velocity``), or "linear" for single-waypoint continuation
-    plans.
+    ``post_mode`` is "park" (hold the last waypoint) or "cruise" (carry on
+    with ``post_velocity``).
     """
 
     category: ActorCategory
@@ -359,18 +356,10 @@ def _relation_triple(graph: SceneGraph, actor: int):
             continue
         if e.relation is RelationCategory.IS_IN:
             isin = e.tail
-        elif e.relation in (
-            RelationCategory.SAFE_DISTANCE,
-            RelationCategory.UNSAFE_DISTANCE,
-        ):
+        elif e.relation in DISTANCE_RELATIONS:
             if e.tail == graph.ego_id():
                 dist = e.relation
-        elif e.relation in (
-            RelationCategory.IN_FRONT_OF,
-            RelationCategory.AT_REAR_OF,
-            RelationCategory.TO_LEFT_OF,
-            RelationCategory.TO_RIGHT_OF,
-        ):
+        elif e.relation in QUADRANT_RELATIONS:
             if e.tail == graph.ego_id():
                 quad = e.relation
         # SelfState edges carry no geometry
@@ -467,7 +456,7 @@ def realize(
                 StaticActor(node.category, node.state.location, node.state.heading)
             )
             continue
-        if node.category not in _ADVERSARY_CATEGORIES:
+        if node.category not in ADVERSARY_CATEGORIES:
             continue
         state = node.state
         x0, y0 = state.location
@@ -475,22 +464,16 @@ def realize(
         pred_triple = _relation_triple(predicted, node.id)
         if reg_triple == pred_triple:
             vx, vy = state.velocity if state.velocity is not None else (0.0, 0.0)
-            if math.hypot(vx, vy) < 0.05:
-                plan = AdversaryPlan(
+            parked = math.hypot(vx, vy) < 0.05
+            plans.append(
+                AdversaryPlan(
                     category=node.category,
                     heading0=state.heading,
                     waypoints=((0.0, x0, y0),),
-                    post_mode="park",
+                    post_mode="park" if parked else "cruise",
+                    post_velocity=(0.0, 0.0) if parked else (vx, vy),
                 )
-            else:
-                plan = AdversaryPlan(
-                    category=node.category,
-                    heading0=state.heading,
-                    waypoints=((0.0, x0, y0),),
-                    post_mode="linear",
-                    post_velocity=(vx, vy),
-                )
-            plans.append(plan)
+            )
             continue
 
         isin, dist, quad = pred_triple

@@ -102,7 +102,7 @@ class _Adam:
         self.t += 1
         b1t = 1.0 - cfg.beta1**self.t
         b2t = 1.0 - cfg.beta2**self.t
-        g = params.collect_grad()
+        g = params.flat_grad
         m, v = self.m, self.v
         a, b = np.empty_like(g), np.empty_like(g)
         # m = b1 * m + (1 - b1) * g
@@ -129,7 +129,7 @@ class _Sgd:
         self.cfg = cfg
 
     def step(self, params: ModelParams) -> None:
-        params.flat -= self.cfg.learning_rate * params.collect_grad()
+        params.flat -= self.cfg.learning_rate * params.flat_grad
 
 
 def _make_optimizer(params: ModelParams, cfg: TrainConfig):
@@ -252,10 +252,10 @@ def fit(
         order = rng.permutation(len(train_insts))
         epoch_losses = []
         for idx in order:
+            params.zero_grad()
             ext = train_insts[idx]
             epoch_losses.append(_loss_and_gradient(params, ext, cfg.positive_weight))
             optimizer.step(params)
-            params.zero_grad()
         train_loss = float(np.mean(epoch_losses))
         val_loss = _mean_loss(params, val_insts, cfg.positive_weight)
         log.rows.append((epoch, train_loss, val_loss))

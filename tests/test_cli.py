@@ -121,15 +121,6 @@ def test_out_with_a_second_hard_link_writes_both_names(pipeline, tmp_path):
     assert other.read_bytes() == expected
 
 
-def test_gen_data_worker_count_does_not_change_output(pipeline, tmp_path):
-    parallel = tmp_path / "parallel.json"
-    assert main([
-        "gen-data", "--count", "6", "--seed", "9", "--workers", "2",
-        "--out", str(parallel),
-    ]) == 0
-    assert parallel.read_bytes() == open(pipeline["corpus"], "rb").read()
-
-
 def test_train_writes_checkpoint_and_log(pipeline):
     obj = read_json(pipeline["model"])
     assert obj["schema_version"] == 1
@@ -339,6 +330,10 @@ def test_non_numeric_value_exits_2(pipeline, tmp_path, capsys):
     for setting, argv in [
         ("count=banana", ["gen-data"]),
         ("split=a,b,c", ["train", "--data", pipeline["corpus"]]),
+        ("seed=-1", ["train", "--data", pipeline["corpus"]]),
+        ("seed=-1", ["gen-data"]),
+        ("count=-3", ["gen-data"]),
+        ("count=0", ["gen-data"]),
     ]:
         cfg.write_text(setting + "\n")
         code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.json")])
@@ -511,6 +506,7 @@ def test_predicted_graph_that_breaks_the_grammar_exits_3(pipeline, tmp_path, cap
         ["simulate", "--seed", "3"],
         ["report", "--seed", "3"],
         ["train", "--workers", "2"],
+        ["gen-data", "--workers", "2"],
     ],
     ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]),
 )
@@ -680,12 +676,17 @@ _MALFORMED_INPUTS = {
     "actor-category-tank": _edited_corpus(
         _set("scenarios", 0, "frames", 0, "actors", 1, "category", value="Tank")
     ),
+    "actor-category-lane": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 1, "category", value="Lane")
+    ),
     "scenarios-not-a-list": _edited_corpus(_set("scenarios", value=5)),
+    "scenarios-empty": _edited_corpus(_set("scenarios", value=[])),
     "state-heading-text": _edited_predicted(_set("nodes", 0, "state", "heading", value="x")),
     "state-velocity-short": _edited_predicted(_set("nodes", 0, "state", "velocity", value=[1])),
     "graph-frame-text": _edited_predicted(_set("frame", value="x")),
     "train-config-without-split": _edited_checkpoint(_drop("train_config", "split")),
     "train-config-not-an-object": _edited_checkpoint(_set("train_config", value="x")),
+    "train-config-seed-negative": _edited_checkpoint(_set("train_config", "seed", value=-1)),
 }
 
 
@@ -698,6 +699,45 @@ def test_malformed_input_exits_3_without_a_traceback(pipeline, tmp_path, capsys,
     assert err["error"] == "schema_version_mismatch"
     assert err["message"].startswith("malformed ")
     assert not out.exists()
+
+
+def _actor_off_every_strip(actors):
+    actors[1]["state"]["location"][0] = 99.0
+
+
+def _adversary_first(actors):
+    actors[0], actors[1] = actors[1], actors[0]
+
+
+def _adversary_on_the_ego(actors):
+    actors[1]["state"]["location"] = list(actors[0]["state"]["location"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_actor_off_every_strip, "lies in no road element"),
+        (_adversary_first, "first actor must be the Ego"),
+        (_adversary_on_the_ego, "share a location"),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "eval", "perturb", "simulate"])
+def test_frame_that_describes_no_scene_exits_3(pipeline, tmp_path, capsys, command, edit, message):
+    obj = read_json(pipeline["corpus"])
+    edit(obj["scenarios"][0]["frames"][0]["actors"])
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(obj))
+    extra = {
+        "train": [],
+        "eval": ["--model", pipeline["model"], "--subset", "all"],
+        "perturb": ["--model", pipeline["model"]],
+        "simulate": ["--profiles", "Normal"],
+    }[command]
+    code = main([command, "--data", str(bad), *extra, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert message in err["message"]
 
 
 @pytest.mark.parametrize("command", ["eval", "perturb"])

@@ -181,7 +181,7 @@ def test_identity_prediction_continues_current_motion():
     assert len(ex.plans) == 1
     plan = ex.plans[0]
     assert plan.perturbed is False
-    assert plan.post_mode == "linear"
+    assert plan.post_mode == "cruise"
     state = scn.frames[0].actors[1].state
     x, y, vx, vy, _ = plan.sample(1.0)
     assert (vx, vy) == pytest.approx(state.velocity)
@@ -432,7 +432,7 @@ def test_batch_episodes_equal_single_episodes():
         # three moving adversaries: a cut-in, a crossing cyclist, a cruiser
         executable([
             moving(ActorCategory.CAR, ((0.0, 1.75, 60.0), (3.0, 1.75, 45.0), (4.5, -1.5, 42.0))),
-            moving(ActorCategory.BICYCLE, ((0.0, 8.0, 35.0),), "linear", (-2.5, 0.0)),
+            moving(ActorCategory.BICYCLE, ((0.0, 8.0, 35.0),), "cruise", (-2.5, 0.0)),
             moving(ActorCategory.CAR, ((0.0, -1.75, 15.0), (2.0, -1.75, 30.0)), "cruise", (0.0, 7.5)),
         ], ego_speed=12.0),
     ]
@@ -475,7 +475,7 @@ def test_overlap_compares_ego_and_adversaries_at_the_same_instant():
     # a car crossing at 10 m/s reaches the ego's lane exactly at the horizon
     # (step 60, the second window): its box then overlaps the ego's by 1 m
     # (IoU 2/16), one step earlier by 0.5 m (IoU 1/17, under the bar)
-    crossing = moving(ActorCategory.CAR, ((0.0, -34.0, 30.0),), "linear", (10.0, 0.0))
+    crossing = moving(ActorCategory.CAR, ((0.0, -34.0, 30.0),), "cruise", (10.0, 0.0))
     scn = executable([crossing])
     result = run_episode(scn, PROFILES["Basic"], horizon=3.0, record=True)
     assert result.outcome is Outcome.COLLISION

@@ -19,7 +19,6 @@ from cornergraph.training import (
     TrainConfig,
     TrainLog,
     UnlabeledInstance,
-    _make_optimizer,
     _mean_loss,
     bce_loss,
     fit,
@@ -158,7 +157,7 @@ def test_adam_fit_equals_a_per_tensor_reference(tiny_dims):
         losses = []
         for idx in rng.permutation(len(train_insts)):
             for _, t in ref.items():
-                t.zero_grad()
+                t.grad = None
             losses.append(_step_loss(ref, train_insts[idx]))
             step += 1
             b1t = 1.0 - cfg.beta1**step
@@ -193,33 +192,9 @@ def test_every_parameter_gets_a_gradient_in_every_step(tiny_dims):
     params = ModelParams.initialize(tiny_dims, seed=0)
     for ext in instances:
         for _, t in params.items():
-            t.zero_grad()
+            t.grad = None
         _step_loss(params, ext)
         assert [name for name, t in params.items() if t.grad is None] == []
-
-
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-def test_optimizer_sees_a_gradient_cleared_on_the_tensor(tiny_dims, optimizer):
-    ext = small_dataset(n_scenarios=1)[0][0]
-    cfg = TrainConfig(learning_rate=1e-2, optimizer=optimizer, seed=2)
-
-    def one_step(cleared):
-        params = ModelParams.initialize(tiny_dims, seed=cfg.seed)
-        opt = _make_optimizer(params, cfg)
-        params.zero_grad()
-        for name in cleared:
-            params[name].zero_grad()
-        _step_loss(params, ext)
-        opt.step(params)
-        return params
-
-    want = one_step([])
-    got = one_step(["triple.b2", "gat1.theta"])
-    init = ModelParams.initialize(tiny_dims, seed=cfg.seed)
-    for name, t in got.items():
-        np.testing.assert_array_equal(t.data, want[name].data)
-    assert not np.array_equal(got["triple.b2"].data, init["triple.b2"].data)
-    assert not np.array_equal(got["gat1.theta"].data, init["gat1.theta"].data)
 
 
 def test_zero_learning_rate_leaves_params_unchanged(tiny_dims):
