@@ -38,7 +38,6 @@ from .extended import (
     decode_prediction,
     extend,
 )
-from .frames import build_scene_graph
 from .graphs import (
     SchemaError,
     decoder,
@@ -296,13 +295,14 @@ def _load_checkpoint_obj(path):
     return obj, checkpoint_from_json(obj)
 
 
-def _source_frame(scenario, frame: int):
+def _source_graph(scenario, frame: int):
+    """The scene graph of the scenario's frame ``frame``, which must exist."""
     if not 0 <= frame < len(scenario.frames):
         raise ConfigParseError(
             f"frame {frame} is out of range for scenario {scenario.id}, "
             f"which has {len(scenario.frames)} frames"
         )
-    return scenario.frames[frame]
+    return scenarios.frame_graph(scenario, frame)
 
 
 @decoder("train_config of the checkpoint", SchemaVersionMismatch)
@@ -396,24 +396,25 @@ def _decode_mode(cfg: dict):
 def _write_decoded(data, model_path, frame: int, mode, out) -> int:
     """Decode each scenario's predicted conflict graph from frame ``frame``
     and write them as JSONL to ``out``, in corpus order; returns the
-    scenario count.  The corpus is dropped on return."""
+    scenario count.  ``out`` is opened only once every graph is decoded, so
+    a failure leaves no output.  The corpus is dropped on return."""
     corpus, _ = scenarios.read_corpus(data)
     _, params = _load_checkpoint_obj(model_path)
-    sources = [_source_frame(scenario, frame) for scenario in corpus]
     instances = (
         extend(
-            build_scene_graph(source),
+            _source_graph(scenario, frame),
             target_frame=scenario.horizon,
             scenario_id=scenario.id,
         )
-        for scenario, source in zip(corpus, sources)
+        for scenario in corpus
     )
+    lines = []
+    for ext, probs in predict_each(params, instances):
+        decoded = decode_prediction(attach_predictions(ext, probs), mode)
+        record = {"scenario_id": ext.scenario_id, "graph": graph_to_json(decoded)}
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
     with open_output(out) as fh:
-        for ext, probs in predict_each(params, instances):
-            decoded = decode_prediction(attach_predictions(ext, probs), mode)
-            record = {"scenario_id": ext.scenario_id, "graph": graph_to_json(decoded)}
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        fh.write("".join(lines))
     return len(corpus)
 
 
@@ -499,7 +500,7 @@ def _realize_corpus(data, predicted_path, frame) -> tuple:
     corpus, _ = scenarios.read_corpus(data)
     executables = []
     for scenario in corpus:
-        regular = build_scene_graph(_source_frame(scenario, frame))
+        regular = _source_graph(scenario, frame)
         target = predicted.get(scenario.id, regular)
         if target is not regular:
             breaches = validate_grammar(target)

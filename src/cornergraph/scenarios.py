@@ -18,7 +18,14 @@ from enum import Enum
 import numpy as np
 
 from .extended import extend, label_candidates
-from .frames import FrameSnapshot, PlacedActor, RoadLayout, Strip, build_scene_graph
+from .frames import (
+    FrameSnapshot,
+    InvalidFrame,
+    PlacedActor,
+    RoadLayout,
+    Strip,
+    build_scene_graph,
+)
 from .graphs import (
     BRAKING_CATEGORIES,
     DYNAMIC_CATEGORIES,
@@ -36,7 +43,7 @@ from .graphs import (
     validate_grammar,
     write_json,
 )
-from .relations import stopping_distance
+from .relations import DegenerateGeometry, stopping_distance
 
 #: seconds between consecutive stored frames
 FRAME_PERIOD = 0.5
@@ -402,8 +409,18 @@ def generate_corpus(seed: int, count: int = 600) -> list:
     return out
 
 
+def frame_graph(scenario: Scenario, index: int) -> SceneGraph:
+    """The scene graph of the scenario's frame ``index``.  A frame that
+    describes no scene raises its ``InvalidFrame`` or ``DegenerateGeometry``
+    with the scenario id and the frame index in front of the message."""
+    try:
+        return build_scene_graph(scenario.frames[index])
+    except (InvalidFrame, DegenerateGeometry) as err:
+        raise type(err)(f"scenario {scenario.id}, frame {index}: {err}") from err
+
+
 def ground_truth_graph(scenario: Scenario) -> SceneGraph:
-    return build_scene_graph(scenario.frames[-1])
+    return frame_graph(scenario, len(scenario.frames) - 1)
 
 
 def to_instances(scenario: Scenario) -> list:
@@ -411,9 +428,9 @@ def to_instances(scenario: Scenario) -> list:
     frame's ground truth."""
     target = ground_truth_graph(scenario)
     out = []
-    for frame in scenario.frames[:-1]:
+    for index in range(len(scenario.frames) - 1):
         ext = extend(
-            build_scene_graph(frame),
+            frame_graph(scenario, index),
             target_frame=scenario.horizon,
             scenario_id=scenario.id,
         )

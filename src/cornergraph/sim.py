@@ -131,60 +131,81 @@ def _box_polygons(cx, cy, heading, length, width):
     return np.array(box_corners(cx, cy, heading, length, width)).transpose(2, 0, 1)
 
 
-def polygon_area(poly):
-    total = 0.0
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2.0
+def _closed(poly):
+    """``(polygons, n, 2)`` polygons with each first vertex repeated after
+    the last, so that the successor of every vertex is the next slot."""
+    return np.concatenate((poly, poly[:, :1]), axis=1)
 
 
-def _clip(subject, a, b):
-    # keep points on the left of a->b (clip polygon is counter-clockwise)
-    out = []
-    n = len(subject)
-    if n == 0:
-        return out
-    ax, ay = a
-    bx, by = b
-    ex, ey = bx - ax, by - ay
-
-    def side(p):
-        return ex * (p[1] - ay) - ey * (p[0] - ax)
-
-    for i in range(n):
-        cur = subject[i]
-        nxt = subject[(i + 1) % n]
-        s_cur = side(cur)
-        s_nxt = side(nxt)
-        if s_cur >= 0.0:
-            out.append(cur)
-        if (s_cur > 0.0 and s_nxt < 0.0) or (s_cur < 0.0 and s_nxt > 0.0):
-            t = s_cur / (s_cur - s_nxt)
-            out.append(
-                (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
-            )
-    return out
+def _areas(closed):
+    """Shoelace area of each closed polygon, its terms summed in vertex
+    order from 0.0.  The zero slots after a polygon's closing vertex add
+    terms of 0, which change no sum, while the vertices are finite."""
+    cur, nxt = closed[:, :-1], closed[:, 1:]
+    terms = cur[..., 0] * nxt[..., 1] - nxt[..., 0] * cur[..., 1]
+    total = np.zeros(len(closed))
+    for column in terms.T:
+        total += column
+    return np.abs(total) / 2.0
 
 
-def intersection_area(poly_a, poly_b):
-    clipped = list(poly_a)
-    n = len(poly_b)
-    for i in range(n):
-        clipped = _clip(clipped, poly_b[i], poly_b[(i + 1) % n])
-        if not clipped:
-            return 0.0
-    return polygon_area(clipped)
+def _clip(closed, counts, a, b):
+    """One Sutherland–Hodgman step: the part of each closed polygon, of
+    ``counts[i]`` vertices, on the left of ``a[i] -> b[i]`` (the clip
+    polygon is counter-clockwise), as new ``(closed, counts)``.
+
+    Vertex i emits itself when on the line or left of it, then the point
+    where the edge to its successor crosses the line when that edge changes
+    side.  The emitted points are packed to the front in that order, the
+    first of them is repeated after the last, and the rest of the width is
+    zero."""
+    cur, nxt = closed[:, :-1], closed[:, 1:]
+    used = np.arange(cur.shape[1]) < counts[:, None]
+    ax, ay = a[:, None, 0], a[:, None, 1]
+    ex, ey = b[:, None, 0] - ax, b[:, None, 1] - ay
+    side = ex * (closed[..., 1] - ay) - ey * (closed[..., 0] - ax)
+    s_cur, s_nxt = side[:, :-1], side[:, 1:]
+    keep = used & (s_cur >= 0.0)
+    cross = used & (((s_cur > 0.0) & (s_nxt < 0.0)) | ((s_cur < 0.0) & (s_nxt > 0.0)))
+    t = np.divide(s_cur, s_cur - s_nxt, out=np.zeros_like(s_cur), where=cross)
+    point = cur + t[..., None] * (nxt - cur)
+
+    pairs, width = s_cur.shape
+    emit = np.stack((keep, cross), axis=2).reshape(pairs, 2 * width)
+    points = np.stack((cur, point), axis=2).reshape(pairs, 2 * width, 2)
+    counts = np.count_nonzero(emit, axis=1)
+    out = np.zeros((pairs, counts.max(initial=0) + 1, 2))
+    out[np.nonzero(emit)[0], (np.cumsum(emit, axis=1) - 1)[emit]] = points[emit]
+    out[np.arange(pairs), counts] = out[:, 0]
+    return out, counts
+
+
+def _box_ious(poly_a, poly_b):
+    """Intersection over union of convex counter-clockwise polygons, for
+    each pair of ``poly_a[i]`` and ``poly_b[i]``, 0 where the union has no
+    area.
+
+    ``poly_a`` is ``(pairs, n, 2)`` and ``poly_b`` is ``(pairs, m, 2)``,
+    both finite.  ``poly_a`` is clipped by each edge of ``poly_b`` in turn,
+    with the float operations of a scalar Sutherland–Hodgman clip in the
+    same order, so each IoU is bit-for-bit the scalar one.
+    """
+    m = poly_b.shape[1]
+    closed_a = closed = _closed(poly_a)
+    counts = np.full(len(poly_a), poly_a.shape[1])
+    for i in range(m):
+        closed, counts = _clip(closed, counts, poly_b[:, i], poly_b[:, (i + 1) % m])
+    inter = _areas(closed)
+    union = _areas(closed_a) + _areas(_closed(poly_b)) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=~(union <= 0.0))
 
 
 def box_iou(poly_a, poly_b):
-    inter = intersection_area(poly_a, poly_b)
-    union = polygon_area(poly_a) + polygon_area(poly_b) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    """Intersection over union of two convex counter-clockwise polygons."""
+    pair = _box_ious(
+        np.asarray(poly_a, dtype=float)[None], np.asarray(poly_b, dtype=float)[None]
+    )
+    return float(pair[0])
 
 
 def _orient(p, q, r):
@@ -585,9 +606,11 @@ def _rollout(executables, profiles, dt, horizon, record=False):
     then under the next.  Each window of ``WINDOW`` steps first runs the
     ego controllers of all live episodes step by step as arrays, then tests
     the window's poses for overlap at once: the reach pre-filter as a mask,
-    clearance in one ``_clearance`` call on the surviving pairs, and
-    ``box_iou`` on the touching pairs in (step, adversary) order.  An
-    episode leaves the batch at its first collision.
+    clearance in one ``_clearance`` call on the surviving pairs, and IoU in
+    one ``_box_ious`` call on the touching pairs.  Pairs are in (step,
+    episode, adversary) order, so an episode's first pair with IoU above
+    ``COLLISION_IOU`` is its collision, and the episode leaves the batch
+    there.
     """
     n_scn = len(executables)
     n_ep = n_scn * len(profiles)
@@ -699,15 +722,15 @@ def _rollout(executables, profiles, dt, horizon, record=False):
         )
         clear = _clearance(ego_poly, adv_poly)
 
+        touching = np.flatnonzero(clear == 0.0)
+        iou = _box_ious(ego_poly[touching], adv_poly[touching])
+        colliding = touching[iou > COLLISION_IOU]
+        # each episode's first colliding pair: its earliest step
+        hit_eps, first = np.unique(es[colliding], return_index=True)
         hit = np.zeros(live.size, bool)
+        hit[hit_eps] = True
         last = np.full(live.size, n - 1)
-        for j in np.flatnonzero(clear == 0.0).tolist():
-            e = es[j]
-            if not hit[e] and (
-                box_iou(ego_poly[j].tolist(), adv_poly[j].tolist()) > COLLISION_IOU
-            ):
-                hit[e] = True
-                last[e] = ks[j]
+        last[hit_eps] = ks[colliding[first]]
         # pairs after a collision cannot change the result: the colliding
         # pair already has clearance 0, and a near miss only counts without
         # a collision

@@ -740,6 +740,56 @@ def test_frame_that_describes_no_scene_exits_3(pipeline, tmp_path, capsys, comma
     assert message in err["message"]
 
 
+@pytest.fixture(scope="module")
+def corpus_904(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus904") / "corpus.json"
+    assert main(["gen-data", "--count", "90", "--seed", "904", "--out", str(path)]) == 0
+    return read_json(path)
+
+
+def _off_the_road(corpus, tmp_path, scenario, frame):
+    """``corpus`` with the second actor of one frame at x = 99, written to
+    ``tmp_path``; returns its path and the scenario id."""
+    obj = json.loads(json.dumps(corpus))
+    obj["scenarios"][scenario]["frames"][frame]["actors"][1]["state"]["location"][0] = 99.0
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(obj))
+    return str(bad), obj["scenarios"][scenario]["id"]
+
+
+@pytest.mark.parametrize("command", ["eval", "perturb", "simulate"])
+def test_frame_error_names_its_scenario_and_frame(
+    pipeline, corpus_904, tmp_path, capsys, command
+):
+    # scenario 5 is a cyclist cut-in; its bicycle leaves the road in frame 2
+    bad, scenario_id = _off_the_road(corpus_904, tmp_path, 5, 2)
+    assert scenario_id == "OncomingCyclistCutIn-s904-0005"
+    extra = {
+        "eval": ["--model", pipeline["model"], "--subset", "all"],
+        "perturb": ["--model", pipeline["model"], "--frame", "2"],
+        "simulate": ["--profiles", "Normal", "--frame", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--data", bad, *extra, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert err["message"] == (
+        f"scenario {scenario_id}, frame 2: Bicycle at x=99.00 lies in no road element"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json"]
+
+
+@pytest.mark.parametrize("scenario", [5, 40])
+def test_failed_perturb_leaves_no_output(pipeline, corpus_904, tmp_path, capsys, scenario):
+    # scenario 40 fails after a first full batch of decoded graphs
+    bad, scenario_id = _off_the_road(corpus_904, tmp_path, scenario, 0)
+    out = tmp_path / "decoded.jsonl"
+    code = main(["perturb", "--data", bad, "--model", pipeline["model"], "--out", str(out)])
+    assert code == 3
+    assert scenario_id in json.loads(capsys.readouterr().err)["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json"]
+
+
 @pytest.mark.parametrize("command", ["eval", "perturb"])
 def test_checkpoint_that_is_not_json_exits_3(pipeline, tmp_path, capsys, command):
     bad = tmp_path / "model.txt"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from cornergraph.sim import (
     ExecutableScenario,
     Outcome,
     PROFILES,
+    _box_ious,
     box_corners,
     box_iou,
     format_scr_table,
-    intersection_area,
-    polygon_area,
     polygon_clearance,
     realize,
     run_episode,
@@ -42,7 +42,7 @@ def test_box_corners_axis_aligned():
     # heading 0 points along +y, so length spans y and width spans x
     assert xs == pytest.approx([-1.0, -1.0, 1.0, 1.0])
     assert ys == pytest.approx([-2.0, -2.0, 2.0, 2.0])
-    assert polygon_area(poly) == pytest.approx(8.0)
+    assert _reference_area(poly) == pytest.approx(8.0)
 
 
 def test_box_corners_rotation():
@@ -51,7 +51,7 @@ def test_box_corners_rotation():
     ys = sorted(p[1] for p in poly)
     assert xs == pytest.approx([-2.0, -2.0, 2.0, 2.0])
     assert ys == pytest.approx([-1.0, -1.0, 1.0, 1.0])
-    assert polygon_area(poly) == pytest.approx(8.0)
+    assert _reference_area(poly) == pytest.approx(8.0)
 
 
 def test_iou_identity_and_disjoint():
@@ -59,7 +59,6 @@ def test_iou_identity_and_disjoint():
     assert box_iou(a, a) == pytest.approx(1.0)
     b = box_corners(50.0, 0.0, 0.0, 4.5, 2.0)
     assert box_iou(a, b) == 0.0
-    assert intersection_area(a, b) == 0.0
 
 
 def test_iou_analytic_overlap():
@@ -386,6 +385,117 @@ def test_clearance_matches_scalar_reference(pa, pb):
     assert polygon_clearance(a, b) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _reference_area(poly):
+    """Shoelace area, its terms summed in vertex order from 0.0."""
+    total = 0.0
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return abs(total) / 2.0
+
+
+def _reference_clip(subject, a, b):
+    """The part of ``subject`` on the left of a->b, one vertex at a time."""
+    out = []
+    n = len(subject)
+    ax, ay = a
+    bx, by = b
+    ex, ey = bx - ax, by - ay
+
+    def side(p):
+        return ex * (p[1] - ay) - ey * (p[0] - ax)
+
+    for i in range(n):
+        cur = subject[i]
+        nxt = subject[(i + 1) % n]
+        s_cur = side(cur)
+        s_nxt = side(nxt)
+        if s_cur >= 0.0:
+            out.append(cur)
+        if (s_cur > 0.0 and s_nxt < 0.0) or (s_cur < 0.0 and s_nxt > 0.0):
+            t = s_cur / (s_cur - s_nxt)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    return out
+
+
+def _reference_iou(poly_a, poly_b):
+    """IoU as a scalar Sutherland–Hodgman clip of ``poly_a`` by each edge of
+    the counter-clockwise ``poly_b``."""
+    poly_a = [tuple(map(float, p)) for p in poly_a]
+    poly_b = [tuple(map(float, p)) for p in poly_b]
+    clipped = poly_a
+    for i in range(len(poly_b)):
+        clipped = _reference_clip(clipped, poly_b[i], poly_b[(i + 1) % len(poly_b)])
+    inter = _reference_area(clipped)
+    union = _reference_area(poly_a) + _reference_area(poly_b) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+# headings and centers that put edges on one line, besides arbitrary ones
+exact_boxes = st.tuples(
+    st.one_of(st.floats(-6, 6), st.integers(-12, 12).map(lambda k: k / 2.0)),
+    st.one_of(st.floats(-6, 6), st.integers(-12, 12).map(lambda k: k / 2.0)),
+    st.one_of(
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]),
+    ),
+    st.sampled_from([4.5, 1.8, 0.6, 2.0]) | st.floats(0.5, 6.0),
+    st.sampled_from([2.0, 0.6]) | st.floats(0.5, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(exact_boxes, exact_boxes), min_size=1, max_size=12))
+def test_batched_iou_is_the_scalar_clip_bit_for_bit(pairs):
+    poly_a = np.array([box_corners(*pa) for pa, _ in pairs], dtype=float)
+    poly_b = np.array([box_corners(*pb) for _, pb in pairs], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _box_ious(poly_a, poly_b)
+    want = [_reference_iou(a, b) for a, b in zip(poly_a, poly_b)]
+    assert got.tolist() == want
+
+
+_EGO = box_corners(-1.75, 10.0, 0.0, *BODY_SIZES[ActorCategory.EGO])
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        pytest.param(_EGO, id="identical"),
+        pytest.param(box_corners(0.25, 10.0, 0.0, 4.5, 2.0), id="shared-edge"),
+        pytest.param(
+            box_corners(-1.5, 10.5, 0.3, *BODY_SIZES[ActorCategory.PEDESTRIAN]),
+            id="pedestrian-inside",
+        ),
+        pytest.param(
+            box_corners(-0.9, 11.6, 0.7, *BODY_SIZES[ActorCategory.BICYCLE]),
+            id="rotated-bicycle",
+        ),
+    ],
+)
+def test_box_iou_pinned_cases_match_the_scalar_clip(other):
+    want = _reference_iou(_EGO, other)
+    assert box_iou(_EGO, other) == want
+    assert _box_ious(np.array([_EGO]), np.array([other]))[0] == want
+
+
+def test_box_iou_pinned_values():
+    ego_area = 4.5 * 2.0
+    assert box_iou(_EGO, _EGO) == pytest.approx(1.0)
+    assert box_iou(_EGO, box_corners(0.25, 10.0, 0.0, 4.5, 2.0)) == 0.0
+    # a pedestrian wholly inside the ego box scores at most 0.36 / 9
+    inside = box_corners(-1.5, 10.5, 0.3, *BODY_SIZES[ActorCategory.PEDESTRIAN])
+    assert box_iou(_EGO, inside) == pytest.approx(0.36 / ego_area)
+    assert box_iou(_EGO, inside) < COLLISION_IOU
+    bicycle = box_corners(-0.9, 11.6, 0.7, *BODY_SIZES[ActorCategory.BICYCLE])
+    assert 0.0 < box_iou(_EGO, bicycle) < 1.8 * 0.6 / ego_area
+
+
 def test_array_sampling_matches_scalar_sampling():
     plans = [
         AdversaryPlan(
@@ -460,6 +570,35 @@ def test_batch_episodes_equal_single_episodes():
         assert result.t_final == 0.05
         assert result.min_clearance == 0.0
         assert result.max_ego_speed == 10.0
+
+
+def _crossing_car(meet):
+    # crosses the ego's lane at 10 m/s, centred on the ego at time ``meet``
+    return moving(
+        ActorCategory.CAR, ((0.0, -1.75 - 10.0 * meet, 10.0 * meet),), "cruise", (10.0, 0.0)
+    )
+
+
+def test_first_collision_in_a_window_is_the_earliest_step():
+    late, early = _crossing_car(4.0), _crossing_car(3.0)
+    # the later collider holds the first adversary slot
+    both = executable([late, early])
+    alone = [executable([late]), executable([early])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = simulate_batch([both, *alone])
+        for name, profile in PROFILES.items():
+            got_both, got_late, got_early = batch[name]
+            for scn, got in zip([both, *alone], batch[name]):
+                assert got == run_episode(scn, profile), name
+            for got in batch[name]:
+                assert got.outcome is Outcome.COLLISION
+            steps = [round(r.t_final / 0.05) for r in (got_late, got_early)]
+            # both collide inside the second window, at different steps
+            assert steps[1] < steps[0]
+            assert {(k - 1) // 50 for k in steps} == {1}
+            assert got_both.t_final == got_early.t_final
+            assert got_both.max_ego_speed == got_early.max_ego_speed
 
 
 def test_grazing_contact_is_not_a_collision():
