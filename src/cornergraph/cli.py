@@ -255,6 +255,18 @@ def _train_config_json(tc: TrainConfig) -> dict:
     }
 
 
+def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
+    """(parameters, log, instance count, scenario count) of training on the
+    corpus at ``data``.  The corpus is dropped once its instances are built,
+    and the instances on return, before the checkpoint is written."""
+    corpus, _ = scenarios.read_corpus(data)
+    n_scenarios = len(corpus)
+    instances = scenarios.corpus_instances(corpus)
+    del corpus
+    params, log = train(instances, tc, dims)
+    return params, log, len(instances), n_scenarios
+
+
 def cmd_train(args) -> int:
     cfg = resolve_config(args, _TRAIN_DEFAULTS, {"seed": args.seed})
     if args.print_config:
@@ -266,9 +278,7 @@ def cmd_train(args) -> int:
     dims = _model_dims(cfg)
 
     with _collector_paused():
-        corpus, _ = scenarios.read_corpus(data)
-        instances = scenarios.corpus_instances(corpus)
-        params, log = train(instances, tc, dims)
+        params, log, n_instances, n_scenarios = _train_on_corpus(data, tc, dims)
     prov = provenance(cfg, tc.seed)
     save_checkpoint(
         out,
@@ -284,7 +294,7 @@ def cmd_train(args) -> int:
         log.to_csv(args.log)
         _write_meta(args.log, prov)
     print(
-        f"trained on {len(instances)} instances from {len(corpus)} scenarios; "
+        f"trained on {n_instances} instances from {n_scenarios} scenarios; "
         f"best epoch {log.best_epoch}"
     )
     return 0
@@ -318,29 +328,34 @@ def _recorded_split(obj) -> tuple | None:
     return _split_fractions(tc["split"]), seed
 
 
-def _subset_instances(instances, recorded, subset: str):
+def _subset_scenarios(corpus, recorded, subset: str):
+    """The scenarios of ``corpus`` in the chosen subset, in corpus order.  The
+    split is made over the scenarios that yield instances, those with a
+    regular frame before the terminal one, as training made it."""
     if subset == "all":
-        return instances
+        return corpus
     if recorded is None:
         raise MissingInputError(
             "checkpoint records no train_config; only --subset all is possible"
         )
-    split = scenario_split([ext.scenario_id for ext in instances], *recorded)
+    ids = [scenario.id for scenario in corpus if len(scenario.frames) > 1]
+    if not ids:
+        raise MissingInputError(f"subset {subset!r} selects no instances")
+    split = scenario_split(ids, *recorded)
     if subset not in split:
         raise ConfigParseError(f"unknown subset {subset!r}")
     wanted = set(split[subset])
-    return [ext for ext in instances if ext.scenario_id in wanted]
+    return [scenario for scenario in corpus if scenario.id in wanted]
 
 
 def _score_subset(data, model_path, subset: str) -> tuple:
     """(probabilities, labels, instance count, the checkpoint's training seed)
-    over the chosen subset.  The corpus and its instances are dropped on
-    return."""
+    over the chosen subset, whose scenarios alone are built into instances.
+    The corpus and its instances are dropped on return."""
     corpus, _ = scenarios.read_corpus(data)
-    instances = scenarios.corpus_instances(corpus)
     obj, params = _load_checkpoint_obj(model_path)
     recorded = _recorded_split(obj)
-    chosen = _subset_instances(instances, recorded, subset)
+    chosen = scenarios.corpus_instances(_subset_scenarios(corpus, recorded, subset))
     if not chosen:
         raise MissingInputError(f"subset {subset!r} selects no instances")
     probs, labels = pooled_predictions(params, chosen)

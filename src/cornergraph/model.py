@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import MissingSelfEdge, ShapeMismatch, Tensor
-from .extended import ExtendedGraph
+from .extended import CATEGORY_ORDINAL, RELATIONS, ExtendedGraph
 from .graphs import (
     ActorCategory,
     LightState,
@@ -42,8 +42,8 @@ EDGE_FEATURE_SIZE = 9
 FEATURE_LAYOUT_ID = "node[cat10,speed1]-edge[rel7,self1,state1]-v1"
 CHECKPOINT_SCHEMA_VERSION = 1
 
-_CATEGORY_INDEX = {cat: i for i, cat in enumerate(ActorCategory)}
 _LIGHT_SCALAR = {LightState.RED: 0.0, LightState.YELLOW: 0.5, LightState.GREEN: 1.0}
+_SELF_ORDINAL = RELATION_ORDINAL[RelationCategory.SELF_STATE]
 
 
 class SchemaVersionMismatch(SchemaError):
@@ -51,12 +51,32 @@ class SchemaVersionMismatch(SchemaError):
     layout, or a malformed one."""
 
 
+def _speed_feature(node: Node) -> float:
+    """Speed normalized to [0, 1]; zero without a velocity."""
+    state = node.state
+    if state is None or state.velocity is None:
+        return 0.0
+    return min(state.speed / SPEED_SCALE, 1.0)
+
+
+def _state_scalar(node: Node) -> float:
+    """Braking flag for vehicles, light phase for traffic lights, zero
+    otherwise."""
+    state = node.state
+    if state is None:
+        return 0.0
+    if state.braking is not None:
+        return 1.0 if state.braking else 0.0
+    if state.light_state is not None:
+        return _LIGHT_SCALAR[state.light_state]
+    return 0.0
+
+
 def node_feature_vector(node: Node) -> np.ndarray:
     """10-way category one-hot plus speed normalized to [0, 1]."""
     out = np.zeros(NODE_FEATURE_SIZE)
-    out[_CATEGORY_INDEX[node.category]] = 1.0
-    if node.state is not None and node.state.velocity is not None:
-        out[10] = min(node.state.speed / SPEED_SCALE, 1.0)
+    out[CATEGORY_ORDINAL[node.category]] = 1.0
+    out[10] = _speed_feature(node)
     return out
 
 
@@ -74,14 +94,63 @@ def self_edge_feature(node: Node) -> np.ndarray:
     for traffic lights, zero otherwise."""
     out = np.zeros(EDGE_FEATURE_SIZE)
     out[7] = 1.0
-    state = node.state
-    if state is None:
-        return out
-    if state.braking is not None:
-        out[8] = 1.0 if state.braking else 0.0
-    elif state.light_state is not None:
-        out[8] = _LIGHT_SCALAR[state.light_state]
+    out[8] = _state_scalar(node)
     return out
+
+
+#: node features by category ordinal, at zero speed
+_NODE_ROWS = np.stack([node_feature_vector(Node(0, cat)) for cat in ActorCategory])
+#: edge features by relation ordinal: a cross relation's one-hot, and for
+#: SelfState the self flag with a zero state scalar
+_EDGE_ROWS = np.stack(
+    [
+        self_edge_feature(Node(0, ActorCategory.ROAD))
+        if relation is RelationCategory.SELF_STATE
+        else cross_edge_feature(relation)
+        for relation in RELATIONS
+    ]
+)
+
+
+def _attention_rows(graph: SceneGraph, offset: int) -> list:
+    """``(dst, src, relation ordinal, state scalar)`` of each attention edge
+    of ``graph``, node ids shifted by ``offset``: one per graph edge, and a
+    synthetic self-loop for each node without a self-state edge, so the self
+    term is always defined."""
+    rows = []
+    with_self = set()
+    for edge in graph.edges:
+        if edge.relation is RelationCategory.SELF_STATE:
+            with_self.add(edge.head)
+            scalar = _state_scalar(graph.nodes[edge.head])
+            rows.append((edge.tail + offset, edge.head + offset, _SELF_ORDINAL, scalar))
+        else:
+            rows.append(
+                (edge.tail + offset, edge.head + offset, RELATION_ORDINAL[edge.relation], 0.0)
+            )
+    rows.extend(
+        (node.id + offset, node.id + offset, _SELF_ORDINAL, 0.0)
+        for node in graph.nodes
+        if node.id not in with_self
+    )
+    return rows
+
+
+def _attention_arrays(rows: list):
+    """Destination ids, source ids, relation ordinals and state scalars of
+    attention rows, in canonical (dst, src, relation) order.  The sort is
+    stable, so rows with equal keys keep their order."""
+    dst, src, ordinals, scalars = (np.array(column) for column in zip(*rows))
+    order = np.lexsort((ordinals, src, dst))
+    return dst[order], src[order], ordinals[order], scalars[order]
+
+
+def _edge_features(ordinals: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+    """Edge feature rows: each ordinal's row of the constant table, with the
+    state scalar in its last column."""
+    attrs = _EDGE_ROWS[ordinals]
+    attrs[:, 8] = scalars
+    return attrs
 
 
 def prepare_attention_graph(graph: SceneGraph):
@@ -89,26 +158,8 @@ def prepare_attention_graph(graph: SceneGraph):
     per-edge features, in canonical (dst, src, relation) order.  Nodes lacking
     a self-edge get a synthetic self-loop so the self term is always defined.
     """
-    entries = []
-    with_self = set()
-    for edge in graph.edges:
-        if edge.relation is RelationCategory.SELF_STATE:
-            with_self.add(edge.head)
-            feat = self_edge_feature(graph.nodes[edge.head])
-        else:
-            feat = cross_edge_feature(edge.relation)
-        entries.append((edge.tail, edge.head, RELATION_ORDINAL[edge.relation], feat))
-    loop_ord = RELATION_ORDINAL[RelationCategory.SELF_STATE]
-    for node in graph.nodes:
-        if node.id not in with_self:
-            feat = np.zeros(EDGE_FEATURE_SIZE)
-            feat[7] = 1.0
-            entries.append((node.id, node.id, loop_ord, feat))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    dst = np.array([e[0] for e in entries], dtype=np.int64)
-    src = np.array([e[1] for e in entries], dtype=np.int64)
-    attrs = np.stack([e[3] for e in entries])
-    return dst, src, attrs
+    dst, src, ordinals, scalars = _attention_arrays(_attention_rows(graph, 0))
+    return dst, src, _edge_features(ordinals, scalars)
 
 
 @dataclass(frozen=True)
@@ -299,47 +350,64 @@ class GraphBatch:
     Node ids of each graph are shifted by the node count of the graphs before
     it, so no edge or candidate crosses graphs and one pass over the union
     equals one pass per graph.  Candidate rows of graph ``k`` are
-    ``bounds[k]:bounds[k + 1]``.
+    ``bounds[k]:bounds[k + 1]``.  Features are rows of constant tables,
+    picked by the ordinals here when the batch is encoded, so a batch kept
+    for many passes holds no feature matrix.
     """
 
-    node_feats: np.ndarray  # (n, NODE_FEATURE_SIZE)
+    categories: np.ndarray  # (n,) node category ordinals
+    speeds: np.ndarray  # (n,) node speeds normalized to [0, 1]
     dst: np.ndarray  # (m,) attention edges, in prepare_attention_graph order
     src: np.ndarray  # (m,)
-    edge_attrs: np.ndarray  # (m, EDGE_FEATURE_SIZE)
-    kg_attrs: np.ndarray  # (q, EDGE_FEATURE_SIZE) candidate relations
+    edge_ordinals: np.ndarray  # (m,) relation ordinals of the attention edges
+    edge_scalars: np.ndarray  # (m,) state scalars of self-edges, zero elsewhere
+    kg_ordinals: np.ndarray  # (q,) candidate relation ordinals
     heads: np.ndarray  # (q,)
     tails: np.ndarray  # (q,)
     bounds: np.ndarray  # (graphs + 1,)
 
+    def node_features(self) -> np.ndarray:
+        """(n, NODE_FEATURE_SIZE): category one-hot and speed per node."""
+        feats = _NODE_ROWS[self.categories]
+        feats[:, 10] = self.speeds
+        return feats
+
+    def edge_features(self) -> np.ndarray:
+        """(m, EDGE_FEATURE_SIZE) per attention edge."""
+        return _edge_features(self.edge_ordinals, self.edge_scalars)
+
+    def candidate_features(self) -> np.ndarray:
+        """(q, EDGE_FEATURE_SIZE): relation one-hot per candidate."""
+        return _EDGE_ROWS[self.kg_ordinals]
+
 
 def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
-    """Compile extended graphs into one ``GraphBatch``, preparing each graph's
-    attention edges once."""
-    feats, dsts, srcs, attrs, kg_attrs, heads, tails = [], [], [], [], [], [], []
-    bounds = [0]
+    """Compile extended graphs into one ``GraphBatch``: concatenate each
+    graph's candidate table and node arrays with its node offset, and put the
+    attention edges of all the graphs in order by one stable sort."""
+    rows, speeds, tables, offsets = [], [], [], []
     offset = 0
     for ext in instances:
         graph = ext.base
-        dst, src, edge_attrs = prepare_attention_graph(graph)
-        feats.extend(node_feature_vector(node) for node in graph.nodes)
-        dsts.append(dst + offset)
-        srcs.append(src + offset)
-        attrs.append(edge_attrs)
-        for c in ext.candidates:
-            kg_attrs.append(cross_edge_feature(c.relation))
-            heads.append(c.head + offset)
-            tails.append(c.tail + offset)
+        rows += _attention_rows(graph, offset)
+        speeds += [_speed_feature(node) for node in graph.nodes]
+        tables.append(ext.table)
+        offsets.append(offset)
         offset += len(graph.nodes)
-        bounds.append(len(heads))
+    dst, src, edge_ordinals, edge_scalars = _attention_arrays(rows)
+    counts = [len(t) for t in tables]
+    shift = np.repeat(np.array(offsets, dtype=np.int64), counts)
     return GraphBatch(
-        node_feats=np.stack(feats),
-        dst=np.concatenate(dsts),
-        src=np.concatenate(srcs),
-        edge_attrs=np.concatenate(attrs),
-        kg_attrs=np.stack(kg_attrs) if kg_attrs else np.zeros((0, EDGE_FEATURE_SIZE)),
-        heads=np.array(heads, dtype=np.int64),
-        tails=np.array(tails, dtype=np.int64),
-        bounds=np.array(bounds, dtype=np.int64),
+        categories=np.concatenate([t.categories for t in tables]),
+        speeds=np.array(speeds, dtype=np.float64),
+        dst=dst,
+        src=src,
+        edge_ordinals=edge_ordinals,
+        edge_scalars=edge_scalars,
+        kg_ordinals=np.concatenate([t.ordinals for t in tables]),
+        heads=np.concatenate([t.heads for t in tables]) + shift,
+        tails=np.concatenate([t.tails for t in tables]) + shift,
+        bounds=np.cumsum([0] + counts, dtype=np.int64),
     )
 
 
@@ -456,9 +524,9 @@ def encode(params: ModelParams, batch: GraphBatch):
     Returns ``(h, p, p_kg)`` with shapes (n,1), (m,1), (q,1), aligned with
     the batch's nodes, attention edges and candidates.
     """
-    h = _mlp(params, "enc_node", Tensor(batch.node_feats))
-    p = _mlp(params, "enc_edge", Tensor(batch.edge_attrs))
-    p_kg = _mlp(params, "enc_kg", Tensor(batch.kg_attrs))
+    h = _mlp(params, "enc_node", Tensor(batch.node_features()))
+    p = _mlp(params, "enc_edge", Tensor(batch.edge_features()))
+    p_kg = _mlp(params, "enc_kg", Tensor(batch.candidate_features()))
     return h, p, p_kg
 
 
@@ -485,17 +553,28 @@ def predict_probs(params: ModelParams, ext: ExtendedGraph) -> np.ndarray:
     return forward(params, ext).data
 
 
+def chunks(instances: Iterable[ExtendedGraph]):
+    """Yield lists of ``BATCH_SIZE`` instances, the last one shorter, in
+    input order; instances are drawn only as each list fills."""
+    it = iter(instances)
+    while chunk := list(islice(it, BATCH_SIZE)):
+        yield chunk
+
+
+def predict_batch(params: ModelParams, batch: GraphBatch) -> list:
+    """Forward pass without gradient recording, split into one probability
+    array per graph of the batch."""
+    return np.split(forward(params, batch).data, batch.bounds[1:-1])
+
+
 def predict_each(params: ModelParams, instances: Iterable[ExtendedGraph]):
     """Yield ``(instance, candidate probabilities)`` pairs in input order.
 
     Instances are drawn, compiled and scored ``BATCH_SIZE`` at a time, so
     only one chunk's instances and arrays need be alive at once.
     """
-    it = iter(instances)
-    while chunk := list(islice(it, BATCH_SIZE)):
-        batch = compile_batch(chunk)
-        probs = forward(params, batch).data
-        yield from zip(chunk, np.split(probs, batch.bounds[1:-1]))
+    for chunk in chunks(instances):
+        yield from zip(chunk, predict_batch(params, compile_batch(chunk)))
 
 
 # --- checkpoints -----------------------------------------------------------

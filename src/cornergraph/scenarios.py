@@ -450,7 +450,7 @@ def positive_fraction(instances) -> float:
     total = 0
     for ext in instances:
         labels = ext.labels()
-        pos += sum(labels)
+        pos += int(labels.sum())
         total += len(labels)
     if total == 0:
         raise ValueError("no candidates to count")
@@ -509,6 +509,8 @@ def scenario_from_json(obj: dict) -> Scenario:
                 actors=tuple(actors),
             )
         )
+    if not frames:
+        raise ValueError(f"scenario {obj.get('id')!r} holds no frames; each holds at least one")
     return Scenario(
         id=str(obj["id"]),
         template=ScenarioTemplate(obj["template"]),

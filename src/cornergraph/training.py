@@ -19,7 +19,16 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .extended import ExtendedGraph
 from .graphs import open_output
-from .model import DEFAULT_DIMS, ModelDims, ModelParams, forward, predict_each
+from .model import (
+    DEFAULT_DIMS,
+    ModelDims,
+    ModelParams,
+    chunks,
+    compile_batch,
+    forward,
+    predict_batch,
+    predict_each,
+)
 
 
 class EmptyBatch(ValueError):
@@ -191,11 +200,10 @@ def _check_labeled(dataset: Sequence[ExtendedGraph]) -> None:
     if not dataset:
         raise EmptyBatch("dataset is empty")
     for ext in dataset:
-        for c in ext.candidates:
-            if c.label is None:
-                raise UnlabeledInstance(
-                    f"instance {ext.scenario_id}/{ext.base.frame_index} is unlabeled"
-                )
+        if ext.label_array is None:
+            raise UnlabeledInstance(
+                f"instance {ext.scenario_id}/{ext.base.frame_index} is unlabeled"
+            )
 
 
 def _by_scenario(dataset, ids):
@@ -205,22 +213,31 @@ def _by_scenario(dataset, ids):
     return subset
 
 
-def _mean_loss(params, instances, positive_weight):
-    """Mean of the per-instance losses, or None without instances."""
+def _compiled_chunks(instances: Sequence[ExtendedGraph]) -> list:
+    """``(GraphBatch, labels of each instance)`` per chunk of the instances,
+    compiled once for every validation pass."""
+    return [
+        (compile_batch(chunk), [ext.labels() for ext in chunk]) for chunk in chunks(instances)
+    ]
+
+
+def _mean_loss(params, compiled, positive_weight):
+    """Mean of the per-instance losses over compiled chunks, or None without
+    instances."""
     losses = [
-        bce_loss(probs, np.asarray(ext.labels()), positive_weight)
-        for ext, probs in predict_each(params, instances)
+        bce_loss(probs, labels, positive_weight)
+        for batch, chunk_labels in compiled
+        for probs, labels in zip(predict_batch(params, batch), chunk_labels)
     ]
     return float(np.mean(losses)) if losses else None
 
 
-def _loss_and_gradient(params: ModelParams, ext: ExtendedGraph, positive_weight: float):
-    """Accumulate the gradient of one instance's loss and return the loss as a
-    float.  The tape, and the activations it holds, are freed on return,
-    before the optimizer step and the validation pass."""
-    labels = np.asarray(ext.labels(), dtype=np.float64)
+def _loss_and_gradient(params: ModelParams, batch, labels: np.ndarray, positive_weight: float):
+    """Accumulate the gradient of one compiled instance's loss and return the
+    loss as a float.  The tape, and the activations it holds, are freed on
+    return, before the optimizer step and the validation pass."""
     with Tape() as tape:
-        loss = bce_loss(forward(params, ext), labels, positive_weight)
+        loss = bce_loss(forward(params, batch), labels, positive_weight)
         tape.backward(loss)
     return loss.item()
 
@@ -246,18 +263,24 @@ def fit(
     best = math.inf
     best_params = params.clone()
     since_best = 0
-    train_insts = list(train_insts)
+    # each instance is compiled once, for every step and epoch
+    train_batches = [compile_batch([ext]) for ext in train_insts]
+    train_labels = [ext.labels() for ext in train_insts]
+    val_chunks = _compiled_chunks(val_insts)
 
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_insts))
+        order = rng.permutation(len(train_batches))
         epoch_losses = []
         for idx in order:
             params.zero_grad()
-            ext = train_insts[idx]
-            epoch_losses.append(_loss_and_gradient(params, ext, cfg.positive_weight))
+            epoch_losses.append(
+                _loss_and_gradient(
+                    params, train_batches[idx], train_labels[idx], cfg.positive_weight
+                )
+            )
             optimizer.step(params)
         train_loss = float(np.mean(epoch_losses))
-        val_loss = _mean_loss(params, val_insts, cfg.positive_weight)
+        val_loss = _mean_loss(params, val_chunks, cfg.positive_weight)
         log.rows.append((epoch, train_loss, val_loss))
 
         monitored = val_loss if val_loss is not None else train_loss
@@ -300,7 +323,7 @@ def pooled_predictions(params: ModelParams, instances: Sequence[ExtendedGraph]):
     labels = []
     for ext, ext_probs in predict_each(params, instances):
         probs.append(ext_probs)
-        labels.append(np.asarray(ext.labels(), dtype=np.int64))
+        labels.append(ext.labels())
     if not probs:
         raise EmptyBatch("no instances to score")
     return np.concatenate(probs), np.concatenate(labels)

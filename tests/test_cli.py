@@ -9,8 +9,10 @@ from cornergraph.cli import main
 from cornergraph.extended import attach_predictions, decode_prediction, extend
 from cornergraph.frames import build_scene_graph
 from cornergraph.graphs import graph_to_json
+from cornergraph.metrics import sweep
 from cornergraph.model import BATCH_SIZE, forward, load_checkpoint
-from cornergraph.scenarios import ground_truth_graph, read_corpus
+from cornergraph.scenarios import corpus_instances, ground_truth_graph, read_corpus
+from cornergraph.training import pooled_predictions, scenario_split
 
 TINY_TRAIN = """
 # reduced settings so the suite stays fast
@@ -800,3 +802,72 @@ def test_checkpoint_that_is_not_json_exits_3(pipeline, tmp_path, capsys, command
     ])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "schema_version_mismatch"
+
+
+_COMMAND_INPUTS = {
+    "train": lambda pipeline: [],
+    "eval": lambda pipeline: ["--model", pipeline["model"], "--subset", "all"],
+    "perturb": lambda pipeline: ["--model", pipeline["model"]],
+    "simulate": lambda pipeline: ["--profiles", "Normal"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_INPUTS))
+def test_scenario_without_frames_exits_3(pipeline, tmp_path, capsys, command):
+    obj = read_json(pipeline["corpus"])
+    obj["scenarios"][2]["frames"] = []
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    code = main([command, "--data", str(bad), *_COMMAND_INPUTS[command](pipeline), "--out", str(out)])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert obj["scenarios"][2]["id"] in err["message"]
+    assert "holds no frames" in err["message"]
+    assert not out.exists()
+
+
+def _filter_after_build(corpus, model_path, subset):
+    """What ``eval`` reported before it picked scenarios first: every
+    instance of the corpus built, split by the scenario ids they carry, and
+    filtered."""
+    instances = corpus_instances(corpus)
+    tc = read_json(model_path)["train_config"]
+    split = scenario_split([ext.scenario_id for ext in instances], tc["split"], tc["seed"])
+    wanted = set(split[subset])
+    chosen = [ext for ext in instances if ext.scenario_id in wanted]
+    probs, labels = pooled_predictions(load_checkpoint(model_path), chosen)
+    return sweep(probs, labels).to_json(), len(chosen)
+
+
+@pytest.mark.parametrize("subset", ["test", "val"])
+def test_eval_subset_with_a_one_frame_scenario_matches_filtering_after_the_build(
+    pipeline, corpus_904, tmp_path, subset
+):
+    obj = json.loads(json.dumps(corpus_904))
+    tc = read_json(pipeline["model"])["train_config"]
+    ids = [scn["id"] for scn in obj["scenarios"]]
+    # a one-frame scenario yields no instance; cut one that would move the
+    # split if the split counted it
+    short = next(
+        k
+        for k in range(len(ids))
+        if scenario_split(ids[:k] + ids[k + 1 :], tc["split"], tc["seed"])[subset]
+        != [i for i in scenario_split(ids, tc["split"], tc["seed"])[subset] if i != ids[k]]
+    )
+    obj["scenarios"][short]["frames"] = obj["scenarios"][short]["frames"][:1]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "eval.json"
+    assert main([
+        "eval", "--data", str(path), "--model", pipeline["model"], "--subset", subset,
+        "--out", str(out),
+    ]) == 0
+    got = read_json(out)
+    corpus, _ = read_corpus(str(path))
+    want, n_instances = _filter_after_build(corpus, pipeline["model"], subset)
+    assert got["n_instances"] == n_instances > 0
+    for key in ("provenance", "schema_version", "subset", "n_instances"):
+        del got[key]
+    assert got == json.loads(json.dumps(want))

@@ -19,6 +19,7 @@ from cornergraph.training import (
     TrainConfig,
     TrainLog,
     UnlabeledInstance,
+    _compiled_chunks,
     _mean_loss,
     bce_loss,
     fit,
@@ -289,8 +290,10 @@ def test_mean_loss_is_mean_of_instance_losses(tiny_dims):
         bce_loss(forward(params, ext).data, np.asarray(ext.labels()), 1.7)
         for ext in dataset
     ]
-    assert _mean_loss(params, dataset, 1.7) == pytest.approx(np.mean(per_instance), abs=1e-12)
-    assert _mean_loss(params, [], 1.7) is None
+    compiled = _compiled_chunks(dataset)
+    assert len(compiled) > 1
+    assert _mean_loss(params, compiled, 1.7) == pytest.approx(np.mean(per_instance), abs=1e-12)
+    assert _mean_loss(params, _compiled_chunks([]), 1.7) is None
 
 
 def test_train_log_csv(tmp_path):
