@@ -551,9 +551,14 @@ def cmd_simulate(args) -> int:
     frame = _as_int(cfg, "frame")
     dt, horizon = _rollout_settings(cfg)
     names = [n.strip() for n in cfg["profiles"].split(",") if n.strip()]
+    if not names:
+        raise ConfigParseError(f"profiles {cfg['profiles']!r} name no profile")
     unknown = [n for n in names if n not in sim.PROFILES]
     if unknown:
         raise ConfigParseError(f"unknown profile(s) {unknown}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigParseError(f"profile(s) {repeated} named more than once")
     profiles = [sim.PROFILES[n] for n in names]
 
     with _collector_paused():

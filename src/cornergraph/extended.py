@@ -229,16 +229,22 @@ def extend(graph: SceneGraph, target_frame: int, scenario_id: str = "") -> Exten
     )
 
 
-def label_candidates(ext: ExtendedGraph, ground_truth: SceneGraph) -> ExtendedGraph:
+def label_candidates(
+    ext: ExtendedGraph, ground_truth: SceneGraph, labels=None
+) -> ExtendedGraph:
     """Label each candidate 1 iff it appears in the ground-truth graph.
 
     The two graphs must describe the same actors: node (id, category) pairs
-    must match exactly.
+    must match exactly.  ``labels``, when given, is the label array of
+    another instance labelled against the same ground truth; it is shared,
+    not computed again, since the same nodes give the same candidate table.
     """
     base_nodes = [(n.id, n.category) for n in ext.base.nodes]
     gt_nodes = [(n.id, n.category) for n in ground_truth.nodes]
     if base_nodes != gt_nodes:
         raise NodeMismatch("base and ground-truth graphs disagree on nodes")
+    if labels is not None:
+        return ext._replace(label_array=labels)
     n = len(gt_nodes)
     stride = len(RELATIONS)
     self_state = RelationCategory.SELF_STATE

@@ -425,7 +425,8 @@ def ground_truth_graph(scenario: Scenario) -> SceneGraph:
 
 def to_instances(scenario: Scenario) -> list:
     """One labeled instance per regular frame, all sharing the terminal
-    frame's ground truth."""
+    frame's ground truth: every frame is labelled against it, and the first
+    frame's read-only label array serves them all."""
     target = ground_truth_graph(scenario)
     out = []
     for index in range(len(scenario.frames) - 1):
@@ -434,7 +435,7 @@ def to_instances(scenario: Scenario) -> list:
             target_frame=scenario.horizon,
             scenario_id=scenario.id,
         )
-        out.append(label_candidates(ext, target))
+        out.append(label_candidates(ext, target, out[0].label_array if out else None))
     return out
 
 

@@ -271,6 +271,12 @@ def polygon_clearance(poly_a, poly_b):
 
 # --- adversary plans -------------------------------------------------------
 
+#: the columns of a leg row: the leg's start time, start position, position
+#: change over the leg and span, and its constant heading and velocity
+_T0, _X0, _Y0, _DX, _DY, _SPAN, _HEADING, _VX, _VY = range(9)
+#: the leg row of a slot no plan fills: it sits still at infinity
+_PAD_LEG = (0.0, math.inf, math.inf, -0.0, -0.0, 1.0, 0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class AdversaryPlan:
@@ -292,43 +298,46 @@ class AdversaryPlan:
         """Position, velocity and box heading at time t >= 0.
 
         ``t`` is a scalar, giving five floats, or an array, giving five
-        arrays of its shape.  Velocity and heading are constant per leg and
-        are computed once per leg with ``math``.
+        arrays of its shape.  This is ``_plan_poses`` on a table of this
+        one plan.
         """
         times = np.asarray(t, dtype=float)
-        wps = self.waypoints
-        last = len(wps) - 1
-        # the leg of each time is the first one whose end it does not pass
-        leg = np.full(times.shape, last)
-        for i in range(last - 1, -1, -1):
-            leg[times <= wps[i + 1][0]] = i
-        x, y, vx, vy, heading = (np.empty(times.shape) for _ in range(5))
-        for i in range(last):
-            at = leg == i
-            t0, x0, y0 = wps[i]
-            t1, x1, y1 = wps[i + 1]
-            span = t1 - t0
-            frac = (times[at] - t0) / span
-            x[at] = x0 + (x1 - x0) * frac
-            y[at] = y0 + (y1 - y0) * frac
-            vx[at] = (x1 - x0) / span
-            vy[at] = (y1 - y0) / span
-            heading[at] = self._heading((x1 - x0) / span, (y1 - y0) / span, i)
-        after = leg == last
-        t_last, x_last, y_last = wps[-1]
-        if self.post_mode == "park":
-            x[after], y[after], vx[after], vy[after] = x_last, y_last, 0.0, 0.0
-            heading[after] = self._heading(0.0, 0.0, last - 1)
-        else:
-            pvx, pvy = self.post_velocity
-            elapsed = times[after] - t_last
-            x[after] = x_last + pvx * elapsed
-            y[after] = y_last + pvy * elapsed
-            vx[after], vy[after] = pvx, pvy
-            heading[after] = self._heading(pvx, pvy, last - 1)
+        x, y, heading, vx, vy = (
+            pose[:, 0, 0].reshape(times.shape)
+            for pose in _plan_poses(
+                _plan_table([(self,)]), times.reshape(-1), np.zeros(1, np.intp), True
+            )
+        )
         if times.ndim == 0:
             return tuple(float(v) for v in (x, y, vx, vy, heading))
         return x, y, vx, vy, heading
+
+    def _legs(self):
+        """(end times, rows): the end time of each leg between waypoints,
+        and a leg row for each of those legs and then one for the time
+        after the last waypoint.  Velocity and heading are
+        constant per leg and are computed once per leg with ``math``."""
+        wps = self.waypoints
+        last = len(wps) - 1
+        ends, rows = [], []
+        for i in range(last):
+            t0, x0, y0 = wps[i]
+            t1, x1, y1 = wps[i + 1]
+            span = t1 - t0
+            vx, vy = (x1 - x0) / span, (y1 - y0) / span
+            ends.append(t1)
+            rows.append((t0, x0, y0, x1 - x0, y1 - y0, span, self._heading(vx, vy, i), vx, vy))
+        t_last, x_last, y_last = wps[-1]
+        # a span of 1.0 makes the fraction the elapsed time exactly; a park
+        # moves by -0.0, which leaves every position as it is, -0.0 included
+        if self.post_mode == "park":
+            pvx, pvy, dx, dy = 0.0, 0.0, -0.0, -0.0
+        else:
+            pvx, pvy = dx, dy = self.post_velocity
+        rows.append(
+            (t_last, x_last, y_last, dx, dy, 1.0, self._heading(pvx, pvy, last - 1), pvx, pvy)
+        )
+        return ends, rows
 
     def _heading(self, vx, vy, leg):
         if math.hypot(vx, vy) > 0.05:
@@ -344,6 +353,62 @@ class AdversaryPlan:
             if math.hypot(lvx, lvy) > 0.05:
                 return math.atan2(lvx, lvy)
         return self.heading0
+
+
+def _plan_table(plan_lists):
+    """The legs of every plan of each scenario's ``plan_lists`` entry, as
+    ``(ends, columns)``.
+
+    ``ends`` is a ``(scenarios, slots, legs)`` array of leg end times, -inf
+    past a plan's last leg and in the slots past a scenario's last plan.
+    ``columns`` holds each leg column, with one entry per (scenario, slot,
+    leg or post-leg slot), flat in that order: every plan is padded to the
+    longest plan's legs, and its post-leg slot comes last.
+    """
+    legs = [[plan._legs() for plan in plans] for plans in plan_lists]
+    width = max(map(len, legs), default=0)
+    n_legs = max((len(ends) for plans in legs for ends, _ in plans), default=0)
+    ends = np.full((len(legs), width, n_legs), -np.inf)
+    rows = []
+    for s, plans in enumerate(legs):
+        for a, (plan_ends, plan_rows) in enumerate(plans):
+            ends[s, a, : len(plan_ends)] = plan_ends
+            rows += plan_rows[:-1] + [_PAD_LEG] * (n_legs - len(plan_ends)) + plan_rows[-1:]
+        rows += [_PAD_LEG] * ((width - len(plans)) * (n_legs + 1))
+    return ends, np.array(rows, dtype=float).reshape(-1, len(_PAD_LEG)).T.copy()
+
+
+def _plan_poses(table, times, rows, record):
+    """Poses of the plans of scenarios ``rows`` of a ``_plan_table`` at
+    each of ``times``: x, y and heading as ``(times, rows, slots)`` arrays,
+    then vx and vy when ``record`` is set.
+
+    Each time takes the first leg whose end it does not pass, or else the
+    post-leg slot, and is ``x0 + dx * ((t - t0) / span)`` there.  Slots
+    past a scenario's last plan sit still at infinity.  The leg columns are
+    gathered one at a time, so the working set is times x rows x slots.
+    """
+    ends, columns = table
+    _, width, n_legs = ends.shape
+    t = times[:, None, None]
+    ends = ends[rows]
+    leg = np.full((len(times), len(rows), width), n_legs)
+    for i in range(n_legs - 1, -1, -1):
+        leg[t <= ends[..., i]] = i
+    leg += (rows[:, None] * width + np.arange(width)) * (n_legs + 1)
+
+    def column(c):
+        return columns[c].take(leg)
+
+    frac = (t - column(_T0)) / column(_SPAN)
+    poses = [
+        column(_X0) + column(_DX) * frac,
+        column(_Y0) + column(_DY) * frac,
+        column(_HEADING),
+    ]
+    if record:
+        poses += [column(_VX), column(_VY)]
+    return poses
 
 
 @dataclass(frozen=True)
@@ -581,36 +646,29 @@ class EpisodeResult:
 WINDOW = 50
 
 
-def _poses(executables, times, width, record):
-    """Adversary poses of each executable at each time, from
-    ``AdversaryPlan.sample``: x, y and heading as ``(times, executables,
-    width)`` arrays, plus vx and vy when ``record`` is set.  Slots past an
-    executable's last plan sit at infinity, which keeps them out of the
-    range gate, the hazard scan and the reach pre-filter."""
-    shape = (len(times), len(executables), width)
-    x, y = np.full(shape, np.inf), np.full(shape, np.inf)
-    rest = [np.zeros(shape) for _ in range(3 if record else 1)]
-    for s, scn in enumerate(executables):
-        for a, plan in enumerate(scn.plans):
-            px, py, pvx, pvy, ph = plan.sample(times)
-            x[:, s, a], y[:, s, a], rest[0][:, s, a] = px, py, ph
-            if record:
-                rest[1][:, s, a], rest[2][:, s, a] = pvx, pvy
-    return (x, y, *rest)
+def _can_collide(category) -> bool:
+    """Whether the ego and an actor of ``category`` can pass
+    ``COLLISION_IOU``.  IoU is at most the smaller footprint area over the
+    larger; a relative margin keeps a bound within rounding of the bar."""
+    areas = (math.prod(BODY_SIZES[ActorCategory.EGO]), math.prod(BODY_SIZES[category]))
+    return min(areas) / max(areas) > COLLISION_IOU * (1.0 - 1e-9)
 
 
 def _rollout(executables, profiles, dt, horizon, record=False):
     """Every executable under every profile, advanced together.
 
     Episodes are profile-major: every executable under the first profile,
-    then under the next.  Each window of ``WINDOW`` steps first runs the
-    ego controllers of all live episodes step by step as arrays, then tests
-    the window's poses for overlap at once: the reach pre-filter as a mask,
-    clearance in one ``_clearance`` call on the surviving pairs, and IoU in
-    one ``_box_ious`` call on the touching pairs.  Pairs are in (step,
-    episode, adversary) order, so an episode's first pair with IoU above
-    ``COLLISION_IOU`` is its collision, and the episode leaves the batch
-    there.
+    then under the next.  Every plan's legs are one ``_plan_table``, and a
+    window's poses one ``_plan_poses`` call over its live scenarios.  Each
+    window of ``WINDOW`` steps first runs the ego controllers of all live
+    episodes step by step as arrays, with the corridor and the start gate
+    taken once for the window, then tests the window's poses for overlap
+    at once: the reach pre-filter as a mask, clearance in one
+    ``_clearance`` call on the surviving pairs, and IoU in one
+    ``_box_ious`` call on the touching pairs that can pass the bar.  Pairs
+    are in (step, episode, adversary) order, so an episode's first pair
+    with IoU above ``COLLISION_IOU`` is its collision, and the episode
+    leaves the batch there.
     """
     n_scn = len(executables)
     n_ep = n_scn * len(profiles)
@@ -618,17 +676,20 @@ def _rollout(executables, profiles, dt, horizon, record=False):
     ego_len, ego_wid = BODY_SIZES[ActorCategory.EGO]
     ego_diag = math.hypot(ego_len, ego_wid)
 
-    width = max((len(scn.plans) for scn in executables), default=0)
+    table = _plan_table([scn.plans for scn in executables])
+    width = table[0].shape[1]
     half_len = np.zeros((n_scn, width))
     reach = np.zeros((n_scn, width))
     length = np.ones((n_scn, width))
     breadth = np.ones((n_scn, width))
+    can_hit = np.zeros((n_scn, width), bool)
     for s, scn in enumerate(executables):
         for a, plan in enumerate(scn.plans):
             a_len, a_wid = BODY_SIZES[plan.category]
             length[s, a], breadth[s, a] = a_len, a_wid
             half_len[s, a] = (ego_len + a_len) / 2.0
             reach[s, a] = (ego_diag + math.hypot(a_len, a_wid)) / 2.0
+            can_hit[s, a] = _can_collide(plan.category)
 
     scn_of = np.tile(np.arange(n_scn), len(profiles))
 
@@ -647,7 +708,7 @@ def _rollout(executables, profiles, dt, horizon, record=False):
     v_target = per_scenario([scn.ego_target_speed for scn in executables])
     from_rest = per_scenario([scn.ego_from_rest for scn in executables], bool)
 
-    x0, y0, _ = _poses(executables, np.zeros(1), width, False)
+    x0, y0, _ = _plan_poses(table, np.zeros(1), np.arange(n_scn), False)
     radial0 = np.hypot(x0[0][scn_of] - ego_x[:, None], y0[0][scn_of] - ego_y[:, None])
     gated = from_rest & np.any(radial0 < hazard_range[:, None], axis=1)
 
@@ -669,7 +730,7 @@ def _rollout(executables, profiles, dt, horizon, record=False):
         times = np.cumsum(np.concatenate(([t], np.full(n, dt))))
         scn_l = scn_of[live]
         scns, local = np.unique(scn_l, return_inverse=True)
-        poses = _poses([executables[s] for s in scns], times, width, record)
+        poses = _plan_poses(table, times, scns, record)
         ax, ay, ah, *avel = (p[:, local] for p in poses)
         ex = ego_x[live][:, None]
         ey = ego_y[live]
@@ -677,31 +738,45 @@ def _rollout(executables, profiles, dt, horizon, record=False):
         st = started[live]
         gap_t, brake_l, range_l = time_gap[live], brake_step[live], hazard_range[live]
         react_l, target_l = reactive[live], v_target[live]
+        passive_l = ~react_l
         half_l = half_len[scn_l]
+
+        # what the controllers read of the poses at the start of each step,
+        # and that does not depend on the ego's speed, once for the window.
+        # Adversaries outside the ego's corridor move to y = inf, never a
+        # nearer hazard than none.
+        corridor_y = np.where(np.abs(ax[:-1] - ex) <= EGO_CORRIDOR_HALF, ay[:-1], np.inf)
+        # An episode that has not started is from rest at speed 0, so its
+        # ego stays at the window's first y until its gate opens: once
+        # nothing is inside its hazard range.
+        gate = None
+        if not st.all():
+            wait = np.flatnonzero(~st)
+            radial = np.hypot(ax[:-1, wait] - ex[wait], ay[:-1, wait] - ey[wait, None])
+            gate = np.ones((n, live.size), bool)
+            gate[:, wait] = np.logical_or.accumulate(
+                np.all(radial >= range_l[wait, None], axis=2), axis=0
+            )
+            st = gate[-1]
 
         ego_ys = np.empty((n, live.size))
         speeds = np.empty((n, live.size))
         for k in range(n):
-            if not st.all():
-                radial = np.hypot(ax[k] - ex, ay[k] - ey[:, None])
-                st = st | np.all(radial >= range_l[:, None], axis=1)
-            dy = ay[k] - ey[:, None]
-            ahead = (np.abs(ax[k] - ex) <= EGO_CORRIDOR_HALF) & (dy > 0.0)
+            dy = corridor_y[k] - ey[:, None]
             # nearest corridor hazard ahead by surface gap, inf for none
-            hazard = np.min(np.where(ahead, dy - half_l, np.inf), axis=1, initial=np.inf)
+            hazard = np.minimum.reduce(dy - half_l, axis=1, where=dy > 0.0, initial=np.inf)
             target_gap = np.maximum(STANDSTILL_GAP, vv * gap_t)
             accel = np.where(
                 react_l, hazard > 1.5 * target_gap, hazard >= BASIC_EMERGENCY_GAP
             )
-            brake = ~accel & (~react_l | (hazard < target_gap))
+            brake = ~accel & (passive_l | (hazard < target_gap))
             moved = np.where(
                 accel,
                 np.minimum(vv + EGO_ACCEL * dt, target_l),
                 np.where(brake, np.maximum(vv - brake_l, 0.0), vv),
             )
-            vv = np.where(st, moved, vv)
-            ey = ey + vv * dt
-            ego_ys[k] = ey
+            vv = moved if gate is None else np.where(gate[k], moved, vv)
+            ey = np.add(ey, vv * dt, out=ego_ys[k])
             speeds[k] = vv
 
         # overlap at the end of each step: ego and adversaries both at t + dt
@@ -722,7 +797,7 @@ def _rollout(executables, profiles, dt, horizon, record=False):
         )
         clear = _clearance(ego_poly, adv_poly)
 
-        touching = np.flatnonzero(clear == 0.0)
+        touching = np.flatnonzero((clear == 0.0) & can_hit[scn_l[es], slots])
         iou = _box_ious(ego_poly[touching], adv_poly[touching])
         colliding = touching[iou > COLLISION_IOU]
         # each episode's first colliding pair: its earliest step

@@ -545,6 +545,22 @@ def test_unknown_profile_exits_2(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "profiles, named",
+    [(",", "name no profile"), (" , ", "name no profile"), ("Basic,Normal,Basic", "'Basic'")],
+)
+def test_profile_list_of_no_valid_run_exits_2(pipeline, tmp_path, capsys, profiles, named):
+    out = tmp_path / "s.json"
+    code = main([
+        "simulate", "--data", pipeline["corpus"], "--profiles", profiles, "--out", str(out),
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_parse"
+    assert named in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "setting", ["dt=0", "dt=-0.05", "horizon=0.01", "dt=nan", "horizon=inf", "horizon=-30"]
 )
 def test_malformed_rollout_setting_exits_2(pipeline, tmp_path, capsys, setting):

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cornergraph.extended import NodeMismatch, extend, label_candidates
 from cornergraph.frames import build_scene_graph
 from cornergraph.graphs import (
     ActorCategory,
@@ -161,6 +164,31 @@ def test_instances_per_scenario_cover_regular_frames():
     for ext in insts:
         labels = ext.labels()
         assert 0 < sum(labels) < len(labels)
+
+
+def test_frames_share_one_label_array_equal_to_labelling_each():
+    corpus = generate_corpus(seed=3, count=12)
+    pooled = corpus_instances(corpus)
+    want = []
+    for scn in corpus:
+        target = ground_truth_graph(scn)
+        want += [
+            label_candidates(extend(build_scene_graph(f), scn.horizon), target).labels()
+            for f in scn.frames[:-1]
+        ]
+        insts = to_instances(scn)
+        assert all(ext.label_array is insts[0].label_array for ext in insts)
+        assert not insts[0].label_array.flags.writeable
+    got = np.concatenate([ext.labels() for ext in pooled])
+    assert got.tobytes() == np.concatenate(want).tobytes()
+
+
+def test_a_later_frame_with_other_nodes_raises():
+    scn = generate(ScenarioTemplate.LEAD_VEHICLE_BRAKE, 4, 1)[0]
+    frames = list(scn.frames)
+    frames[1] = dataclasses.replace(frames[1], actors=frames[1].actors[:-1])
+    with pytest.raises(NodeMismatch):
+        to_instances(dataclasses.replace(scn, frames=frames))
 
 
 def test_candidate_counts_by_road_type():

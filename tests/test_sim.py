@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from cornergraph.extended import NodeMismatch
 from cornergraph.frames import build_scene_graph
-from cornergraph.graphs import ActorCategory
+from cornergraph.graphs import ADVERSARY_CATEGORIES, ActorCategory
 from cornergraph.scenarios import ScenarioTemplate, generate, ground_truth_graph
 from cornergraph.sim import (
+    BASIC_EMERGENCY_GAP,
     BODY_SIZES,
     COLLISION_IOU,
+    EGO_ACCEL,
+    EGO_CORRIDOR_HALF,
     NEAR_MISS_CLEARANCE,
+    STANDSTILL_GAP,
     AdversaryPlan,
     ControllerProfile,
     EpisodeResult,
@@ -21,6 +25,8 @@ from cornergraph.sim import (
     Outcome,
     PROFILES,
     _box_ious,
+    _plan_poses,
+    _plan_table,
     box_corners,
     box_iou,
     format_scr_table,
@@ -435,6 +441,85 @@ def _reference_iou(poly_a, poly_b):
     return inter / union
 
 
+def _reference_episode(scn, profile, dt=0.05, horizon=30.0, record=False):
+    """One episode as a scalar loop, one step at a time, from the rules in
+    README and the plans' ``sample``.
+
+    An ego from rest is gated when an adversary starts inside its hazard
+    range, and starts at the first step nothing is.  Each step the
+    controller reads the poses at the step's start: the nearest adversary
+    ahead in its corridor, by surface gap, sets accelerate, brake or hold.
+    Overlap is tested at the step's end, on the pairs within reach of a
+    near miss; the first pair with IoU above the bar is a collision.
+    """
+    ego_len, ego_wid = BODY_SIZES[ActorCategory.EGO]
+    ex, ey = map(float, scn.ego_start)
+    grid = [0.0]
+    for _ in range(int(round(horizon / dt))):
+        grid.append(grid[-1] + dt)
+    # each plan's (x, y, vx, vy, heading) at each time of the grid
+    poses = [list(zip(*(p.tolist() for p in plan.sample(np.array(grid))))) for plan in scn.plans]
+    sizes = [BODY_SIZES[plan.category] for plan in scn.plans]
+    v = 0.0 if scn.ego_from_rest else scn.ego_target_speed
+    started = not scn.ego_from_rest
+    gated = scn.ego_from_rest and any(
+        np.hypot(p[0][0] - ex, p[0][1] - ey) < profile.hazard_range for p in poses
+    )
+    max_speed, min_clear, near_miss, rows = v, math.inf, False, []
+
+    def result(outcome, t):
+        return EpisodeResult(
+            outcome, t, max_speed, min_clear, gated, tuple(rows) if record else ()
+        )
+
+    for k in range(len(grid) - 1):
+        if not started:
+            started = all(
+                np.hypot(p[k][0] - ex, p[k][1] - ey) >= profile.hazard_range for p in poses
+            )
+        hazard = math.inf
+        for p, (a_len, _) in zip(poses, sizes):
+            dy = p[k][1] - ey
+            if abs(p[k][0] - ex) <= EGO_CORRIDOR_HALF and dy > 0.0:
+                hazard = min(hazard, dy - (ego_len + a_len) / 2.0)
+        target_gap = max(STANDSTILL_GAP, v * profile.time_gap)
+        if profile.reactive:
+            accel = hazard > 1.5 * target_gap
+            brake = not accel and hazard < target_gap
+        else:
+            accel = hazard >= BASIC_EMERGENCY_GAP
+            brake = not accel
+        if started and accel:
+            v = min(v + EGO_ACCEL * dt, scn.ego_target_speed)
+        elif started and brake:
+            v = max(v - profile.brake_rate * dt, 0.0)
+        ey = ey + v * dt
+        t = grid[k + 1]
+        max_speed = max(max_speed, v)
+
+        ego = box_corners(ex, ey, 0.0, ego_len, ego_wid)
+        rows.append(("ego", t, ex, ey, 0.0, v))
+        hit = False
+        for a, (p, (a_len, a_wid)) in enumerate(zip(poses, sizes)):
+            x, y, vx, vy, heading = p[k + 1]
+            rows.append((f"adv{a}", t, x, y, heading, math.hypot(vx, vy)))
+            reach = (math.hypot(ego_len, ego_wid) + math.hypot(a_len, a_wid)) / 2.0
+            if np.hypot(x - ex, y - ey) - reach > NEAR_MISS_CLEARANCE:
+                continue
+            adv = box_corners(x, y, heading, a_len, a_wid)
+            clear = polygon_clearance(ego, adv)
+            min_clear = min(min_clear, clear)
+            near_miss = near_miss or clear <= NEAR_MISS_CLEARANCE
+            hit = hit or box_iou(ego, adv) > COLLISION_IOU
+        if hit:
+            return result(Outcome.COLLISION, t)
+    if near_miss:
+        return result(Outcome.NEAR_MISS, grid[-1])
+    if gated and max_speed < 0.5:
+        return result(Outcome.UNSAFE_MANEUVER, grid[-1])
+    return result(Outcome.NO_COLLISION, grid[-1])
+
+
 # headings and centers that put edges on one line, besides arbitrary ones
 exact_boxes = st.tuples(
     st.one_of(st.floats(-6, 6), st.integers(-12, 12).map(lambda k: k / 2.0)),
@@ -514,6 +599,103 @@ def test_array_sampling_matches_scalar_sampling():
             assert tuple(float(col[k]) for col in arrays) == plan.sample(t)
 
 
+def _reference_sample(plan, t):
+    """A plan's pose at time t as a scalar: the first leg whose end t does
+    not pass, interpolated, or else the park or cruise after the last
+    waypoint."""
+    wps = plan.waypoints
+    for i in range(len(wps) - 1):
+        (t0, x0, y0), (t1, x1, y1) = wps[i], wps[i + 1]
+        if t <= t1:
+            span = t1 - t0
+            frac = (t - t0) / span
+            vx, vy = (x1 - x0) / span, (y1 - y0) / span
+            return (
+                x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac, vx, vy, plan._heading(vx, vy, i)
+            )
+    t_last, x_last, y_last = wps[-1]
+    if plan.post_mode == "park":
+        return x_last, y_last, 0.0, 0.0, plan._heading(0.0, 0.0, len(wps) - 2)
+    pvx, pvy = plan.post_velocity
+    elapsed = t - t_last
+    return (
+        x_last + pvx * elapsed, y_last + pvy * elapsed, pvx, pvy,
+        plan._heading(pvx, pvy, len(wps) - 2),
+    )
+
+
+@st.composite
+def plans(draw):
+    """Plans of every adversary category with 1 to 3 waypoints, the first
+    at time 0, parking or cruising after the last."""
+    t, waypoints = 0.0, []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            t += draw(st.floats(0.2, 3.0))
+        waypoints.append((t, draw(st.floats(-8.0, 6.0)), draw(st.floats(-10.0, 60.0))))
+    mode = draw(st.sampled_from(["park", "cruise"]))
+    velocity = (0.0, 0.0)
+    if mode == "cruise":
+        velocity = (draw(st.floats(-8.0, 8.0)), draw(st.floats(-12.0, 12.0)))
+    return AdversaryPlan(
+        category=draw(st.sampled_from(sorted(ADVERSARY_CATEGORIES, key=lambda c: c.value))),
+        heading0=draw(st.floats(-math.pi, math.pi)),
+        waypoints=tuple(waypoints),
+        post_mode=mode,
+        post_velocity=velocity,
+    )
+
+
+@st.composite
+def executables(draw):
+    return ExecutableScenario(
+        scenario_id="drawn",
+        source_frame=0,
+        ego_start=(draw(st.floats(-3.5, 0.0)), draw(st.floats(-5.0, 5.0))),
+        ego_target_speed=draw(st.floats(0.0, 20.0)),
+        ego_from_rest=draw(st.booleans()),
+        plans=tuple(draw(st.lists(plans(), max_size=4))),
+        statics=(),
+        infeasible=False,
+        fidelity=(0, 0),
+    )
+
+
+_GRID = np.cumsum(np.full(170, 0.05)) - 0.05
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans())
+def test_sampling_equals_the_scalar_rules(plan):
+    for t in _GRID[::7].tolist() + [0.0, *(w[0] for w in plan.waypoints)]:
+        assert plan.sample(t) == _reference_sample(plan, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(plans(), max_size=4), min_size=1, max_size=5), st.data())
+def test_window_poses_equal_per_plan_sampling(plan_lists, data):
+    """The pose kernel over a table of many scenarios' plans: each live
+    row's slots equal that plan's own ``sample``, and the slots past a
+    scenario's last plan sit still at infinity."""
+    table = _plan_table(plan_lists)
+    rows = np.array(
+        data.draw(st.lists(st.sampled_from(range(len(plan_lists))), min_size=1, max_size=5))
+    )
+    times = _GRID[data.draw(st.integers(0, 100)) :][:51]
+    width = max(map(len, plan_lists))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y, heading, vx, vy = _plan_poses(table, times, rows, True)
+    assert x.shape == (len(times), len(rows), width)
+    for i, s in enumerate(rows.tolist()):
+        for a in range(width):
+            got = [tuple(float(p[k, i, a]) for p in (x, y, vx, vy, heading)) for k in range(len(times))]
+            if a < len(plan_lists[s]):
+                assert got == [plan_lists[s][a].sample(t) for t in times.tolist()]
+            else:
+                assert got == [(math.inf, math.inf, 0.0, 0.0, 0.0)] * len(times)
+
+
 def moving(category, waypoints, post_mode="park", post_velocity=(0.0, 0.0)):
     return AdversaryPlan(
         category=category,
@@ -552,6 +734,7 @@ def test_batch_episodes_equal_single_episodes():
         assert len(batch[name]) == len(scns)
         for scn, got in zip(scns, batch[name]):
             assert got == run_episode(scn, profile), name
+            assert got == _reference_episode(scn, profile), name
 
     free, gated, first_step, touching, _ = (
         [batch[name][i] for name in PROFILES] for i in range(len(scns))
@@ -630,3 +813,54 @@ def test_overlap_compares_ego_and_adversaries_at_the_same_instant():
         x, y, vx, vy, heading = crossing.sample(t)
         assert (adv[2], adv[3], adv[4]) == (x, y, heading)
         assert adv[5] == math.hypot(vx, vy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(executables(), min_size=1, max_size=4),
+    st.sampled_from([0.05, 2.5, 2.55, 5.0, 7.5]),
+)
+def test_rollout_equals_the_scalar_oracle(scns, horizon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = simulate_batch(scns, horizon=horizon)
+        traced = run_episode(scns[0], PROFILES["Normal"], horizon=horizon, record=True)
+    for name, profile in PROFILES.items():
+        for scn, got in zip(scns, batch[name]):
+            assert got == _reference_episode(scn, profile, horizon=horizon), name
+    assert traced == _reference_episode(scns[0], PROFILES["Normal"], horizon=horizon, record=True)
+
+
+def _first_moving_step(result):
+    speeds = [row[5] for row in result.trace if row[0] == "ego"]
+    return next((k for k, v in enumerate(speeds) if v > 0.0), None)
+
+
+def test_start_gates_open_at_their_step():
+    # a car beside the ego drives away at 8.1 m/s: 5 + 8.1 t m from it, so
+    # each gate opens at the first step whose start lies beyond its range
+    leaving = moving(ActorCategory.CAR, ((0.0, 3.25, 0.0),), "cruise", (8.1, 0.0))
+    scn = executable([leaving], from_rest=True)
+    # Basic has no range; Aggressive's 12 m opens mid-window, Normal's 25 m
+    # at the first step of the second window, and Cautious's 35 m mid-way
+    # through the second window
+    opens = {"Basic": 0, "Aggressive": 18, "Normal": 50, "Cautious": 75}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = simulate_batch([scn], horizon=5.0)
+        for name, profile in PROFILES.items():
+            traced = run_episode(scn, profile, horizon=5.0, record=True)
+            assert traced == _reference_episode(scn, profile, horizon=5.0, record=True)
+            assert batch[name][0] == _reference_episode(scn, profile, horizon=5.0)
+            assert _first_moving_step(traced) == opens[name], name
+            assert traced.gated_start is (name != "Basic")
+            assert traced.outcome is Outcome.NO_COLLISION
+
+
+def test_an_episode_that_never_starts():
+    scn = executable([parked_car(-1.75, 20.0)], from_rest=True)
+    traced = run_episode(scn, PROFILES["Cautious"], record=True)
+    assert traced == _reference_episode(scn, PROFILES["Cautious"], record=True)
+    assert traced.outcome is Outcome.UNSAFE_MANEUVER
+    assert _first_moving_step(traced) is None
+    assert {row[3] for row in traced.trace if row[0] == "ego"} == {0.0}
