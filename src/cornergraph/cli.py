@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import json
@@ -118,13 +119,15 @@ def _as_float(cfg: dict, key: str) -> float:
     return float(cfg[key])
 
 
-def resolve_config(args, defaults: dict, overrides: dict) -> dict:
-    """defaults <- config file <- explicit flags, all as strings."""
-    cfg = dict(defaults)
+def resolve_config(args) -> dict:
+    """The subcommand's defaults <- config file <- explicit flags, all as
+    strings.  A flag overrides the config key of its own name."""
+    cfg = dict(args.defaults)
     cfg["schema_version"] = CONFIG_SCHEMA_VERSION
     if args.config:
         cfg.update(parse_config_file(args.config))
-    for key, value in overrides.items():
+    for key in args.defaults:
+        value = getattr(args, key, None)
         if value is not None:
             cfg[key] = str(value)
     return cfg
@@ -147,41 +150,22 @@ def _require(path, what: str) -> str:
     return path
 
 
-def _require_out(args) -> str:
-    if args.out is None:
-        raise MissingInputError("no --out path given")
-    return args.out
-
-
 def _write_meta(csv_path, prov: dict) -> None:
     write_json(f"{csv_path}.meta.json", {"provenance": prov})
-
-
-def _print_config(cfg: dict) -> None:
-    print(json.dumps(cfg, sort_keys=True))
 
 
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    cfg = resolve_config(
-        args,
-        {"count": "600", "seed": "42"},
-        {"count": args.count, "seed": args.seed},
-    )
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
+def cmd_gen_data(args, cfg: dict) -> int:
     count = _as_int(cfg, "count")
     seed = _seed(cfg)
     if count < 1:
         raise ConfigParseError(f"config key 'count' must be at least 1, got {count}")
 
     corpus = scenarios.generate_corpus(seed, count)
-    scenarios.write_corpus(out, corpus, meta={"provenance": provenance(cfg, seed)})
-    print(f"wrote {len(corpus)} scenarios to {out}")
+    scenarios.write_corpus(args.out, corpus, meta={"provenance": provenance(cfg, seed)})
+    print(f"wrote {len(corpus)} scenarios to {args.out}")
     return 0
 
 
@@ -233,6 +217,7 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
+@decoder("model dims", ConfigParseError)
 def _model_dims(cfg: dict) -> ModelDims:
     return ModelDims(
         encoder_hidden=_as_int(cfg, "encoder_hidden"),
@@ -241,18 +226,6 @@ def _model_dims(cfg: dict) -> ModelDims:
         mid_out=_as_int(cfg, "mid_out"),
         triple_hidden=_as_int(cfg, "triple_hidden"),
     )
-
-
-def _train_config_json(tc: TrainConfig) -> dict:
-    return {
-        "learning_rate": tc.learning_rate,
-        "epochs": tc.epochs,
-        "optimizer": tc.optimizer,
-        "seed": tc.seed,
-        "split": list(tc.split),
-        "positive_weight": tc.positive_weight,
-        "early_stop_patience": tc.early_stop_patience,
-    }
 
 
 def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
@@ -267,24 +240,18 @@ def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
     return params, log, len(instances), n_scenarios
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args, _TRAIN_DEFAULTS, {"seed": args.seed})
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
+def cmd_train(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
     tc = _train_config(cfg)
     dims = _model_dims(cfg)
 
-    with _collector_paused():
-        params, log, n_instances, n_scenarios = _train_on_corpus(data, tc, dims)
+    params, log, n_instances, n_scenarios = _train_on_corpus(data, tc, dims)
     prov = provenance(cfg, tc.seed)
     save_checkpoint(
-        out,
+        args.out,
         params,
         extra={
-            "train_config": _train_config_json(tc),
+            "train_config": dataclasses.asdict(tc),
             "best_epoch": log.best_epoch,
             "stopped_early": log.stopped_early,
             "provenance": prov,
@@ -362,18 +329,12 @@ def _score_subset(data, model_path, subset: str) -> tuple:
     return probs, labels, len(chosen), None if recorded is None else recorded[1]
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args, {"subset": "test"}, {"subset": args.subset})
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
+def cmd_eval(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
     model_path = _require(args.model, "model checkpoint")
     subset = cfg["subset"]
 
-    with _collector_paused():
-        probs, labels, n_instances, seed = _score_subset(data, model_path, subset)
+    probs, labels, n_instances, seed = _score_subset(data, model_path, subset)
     report = metrics.sweep(probs, labels)
     prov = provenance(cfg, seed)
     payload = report.to_json()
@@ -385,7 +346,7 @@ def cmd_eval(args) -> int:
             "provenance": prov,
         }
     )
-    write_json(out, payload)
+    write_json(args.out, payload)
     if args.roc:
         metrics.write_roc_csv(report, args.roc)
         _write_meta(args.roc, prov)
@@ -433,25 +394,15 @@ def _write_decoded(data, model_path, frame: int, mode, out) -> int:
     return len(corpus)
 
 
-def cmd_perturb(args) -> int:
-    cfg = resolve_config(
-        args,
-        {"mode": "argmax", "tau": "0.5", "frame": "0"},
-        {"mode": args.mode, "tau": args.tau, "frame": args.frame},
-    )
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
+def cmd_perturb(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
     model_path = _require(args.model, "model checkpoint")
     frame = _as_int(cfg, "frame")
     mode = _decode_mode(cfg)
 
-    with _collector_paused():
-        count = _write_decoded(data, model_path, frame, mode, out)
-    _write_meta(out, provenance(cfg, None))
-    print(f"decoded {count} predicted conflict graphs to {out}")
+    count = _write_decoded(data, model_path, frame, mode, args.out)
+    _write_meta(args.out, provenance(cfg, None))
+    print(f"decoded {count} predicted conflict graphs to {args.out}")
     return 0
 
 
@@ -479,28 +430,6 @@ def _rollout_settings(cfg: dict) -> tuple:
             f"one step, got {steps:g}"
         )
     return dt, horizon
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector for a block.
-
-    ``train``, ``eval``, ``perturb`` and ``simulate`` build tens of
-    thousands of small objects (corpus, scene graphs, instances, tapes,
-    plans) that form no cycles and live until the command is done with
-    them.  With the collector running, its young passes scan them again and
-    again while they are built, and once enough of them survive into the
-    old generation it runs a full collection over the whole heap, 20 to
-    60 ms in a process that holds other work, inside the command.  Paused, they are freed by reference counting at the end
-    and never scanned.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _realize_corpus(data, predicted_path, frame) -> tuple:
@@ -532,21 +461,7 @@ def _realize_corpus(data, predicted_path, frame) -> tuple:
     return executables, bool(predicted)
 
 
-def cmd_simulate(args) -> int:
-    cfg = resolve_config(
-        args,
-        {
-            "profiles": ",".join(sim.PROFILES),
-            "frame": "0",
-            "dt": "0.05",
-            "horizon": "30.0",
-        },
-        {"profiles": args.profiles, "frame": args.frame},
-    )
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
+def cmd_simulate(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
     frame = _as_int(cfg, "frame")
     dt, horizon = _rollout_settings(cfg)
@@ -561,9 +476,8 @@ def cmd_simulate(args) -> int:
         raise ConfigParseError(f"profile(s) {repeated} named more than once")
     profiles = [sim.PROFILES[n] for n in names]
 
-    with _collector_paused():
-        executables, perturbed = _realize_corpus(data, args.predicted, frame)
-        results = sim.simulate_batch(executables, profiles, dt=dt, horizon=horizon)
+    executables, perturbed = _realize_corpus(data, args.predicted, frame)
+    results = sim.simulate_batch(executables, profiles, dt=dt, horizon=horizon)
     report = sim.scr_report(results)
     matched = sum(e.fidelity[0] for e in executables)
     prescribed = sum(e.fidelity[1] for e in executables)
@@ -576,7 +490,7 @@ def cmd_simulate(args) -> int:
         "profiles": report,
         "provenance": provenance(cfg, None),
     }
-    write_json(out, payload)
+    write_json(args.out, payload)
     if args.table:
         print(sim.format_scr_table(report))
     else:
@@ -586,22 +500,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = resolve_config(args, {}, {})
-    if args.print_config:
-        _print_config(cfg)
-        return 0
-    out = _require_out(args)
+@decoder("{1} {0}")
+def _read_report(path, what: str, key: str) -> dict:
+    """The JSON object at ``path``: a schema_version 1 report with ``key``."""
+    obj = read_json(path)
+    if obj["schema_version"] != 1 or key not in obj:
+        raise ValueError(f"not a schema_version 1 report with {key!r}")
+    return obj
+
+
+def cmd_report(args, cfg: dict) -> int:
     eval_path = _require(args.eval, "evaluation report")
     scr_path = _require(args.scr, "simulation report")
     payload = {
         "schema_version": 1,
-        "evaluation": read_json(eval_path),
-        "simulation": read_json(scr_path),
+        "evaluation": _read_report(eval_path, "evaluation report", "auc"),
+        "simulation": _read_report(scr_path, "simulation report", "profiles"),
         "provenance": provenance(cfg, None),
     }
-    write_json(out, payload)
-    print(f"combined report written to {out}")
+    write_json(args.out, payload)
+    print(f"combined report written to {args.out}")
     return 0
 
 
@@ -628,14 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--count", type=int, help="number of scenarios")
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, defaults={"count": "600", "seed": "42"})
 
     p = sub.add_parser("train", help="fit a model on a corpus")
     common(p)
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument("--data", help="scenario corpus JSON")
     p.add_argument("--log", help="write the per-epoch loss log CSV here")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, defaults=_TRAIN_DEFAULTS)
 
     p = sub.add_parser("eval", help="score a checkpoint on held-out scenarios")
     common(p)
@@ -644,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", choices=["train", "val", "test", "all"])
     p.add_argument("--roc", help="write the ROC curve CSV here")
     p.add_argument("--pr", help="write the precision-recall curve CSV here")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, defaults={"subset": "test"})
 
     p = sub.add_parser("perturb", help="decode predicted conflict graphs")
     common(p)
@@ -653,7 +571,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["argmax", "threshold"])
     p.add_argument("--tau", type=float, help="keep probability for threshold mode")
     p.add_argument("--frame", type=int, help="source frame index")
-    p.set_defaults(func=cmd_perturb)
+    p.set_defaults(
+        func=cmd_perturb, defaults={"mode": "argmax", "tau": "0.5", "frame": "0"}
+    )
 
     p = sub.add_parser("simulate", help="realize and roll out episodes")
     common(p)
@@ -662,22 +582,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", help="comma-separated driver profiles")
     p.add_argument("--frame", type=int, help="source frame index")
     p.add_argument("--table", action="store_true", help="print the outcome table")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(
+        func=cmd_simulate,
+        defaults={
+            "profiles": ",".join(sim.PROFILES),
+            "frame": "0",
+            "dt": str(sim.SIM_STEP),
+            "horizon": str(sim.HORIZON),
+        },
+    )
 
     p = sub.add_parser("report", help="merge evaluation and simulation reports")
     common(p)
     p.add_argument("--eval", help="evaluation report JSON")
     p.add_argument("--scr", help="simulation report JSON")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, defaults={})
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for a block: ``main`` runs every
+    subcommand in one.
+
+    The commands build tens of thousands of small objects (corpus, scene
+    graphs, instances, tapes, plans) that form no cycles and live until the
+    command is done with them.  With the collector running, its young
+    passes scan them again and again while they are built, and once enough
+    of them survive into the old generation it runs a full collection over
+    the whole heap, 20 to 60 ms in a process that holds other work, inside
+    the command.  Paused, they are freed by reference counting at the end
+    and never scanned.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def main(argv=None) -> int:
+    """Run one subcommand: resolve its configuration, answer
+    ``--print-config``, require ``--out``, then run it with the collector
+    paused; a failure is reported as one JSON object on stderr."""
+    args = build_parser().parse_args(argv)
+    try:
+        cfg = resolve_config(args)
+        if args.print_config:
+            print(json.dumps(cfg, sort_keys=True))
+            return 0
+        if args.out is None:
+            raise MissingInputError("no --out path given")
+        with _collector_paused():
+            return args.func(args, cfg)
     except CliError as err:
         print(
             json.dumps({"error": err.kind, "message": str(err)}, sort_keys=True),

@@ -14,7 +14,7 @@ state get a synthetic self-loop during graph preparation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -174,16 +174,10 @@ class ModelDims:
     mid_out: int = 256
     triple_hidden: int = 4
 
-    def to_json(self) -> dict:
-        return {
-            "node_features": self.node_features,
-            "edge_features": self.edge_features,
-            "encoder_hidden": self.encoder_hidden,
-            "gat1_out": self.gat1_out,
-            "mid_hidden": self.mid_hidden,
-            "mid_out": self.mid_out,
-            "triple_hidden": self.triple_hidden,
-        }
+    def __post_init__(self):
+        for name, width in asdict(self).items():
+            if width < 1:
+                raise ValueError(f"model width {name} must be at least 1, got {width}")
 
     @staticmethod
     def from_json(obj: dict) -> "ModelDims":
@@ -584,7 +578,7 @@ def checkpoint_to_json(params: ModelParams, extra: dict | None = None) -> dict:
     out = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "feature_layout_id": FEATURE_LAYOUT_ID,
-        "dims": params.dims.to_json(),
+        "dims": asdict(params.dims),
         "tensors": {
             name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
             for name, t in params.items()
@@ -608,10 +602,9 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
             f"checkpoint feature layout {layout!r}, expected {FEATURE_LAYOUT_ID}"
         )
     dims = ModelDims.from_json(obj["dims"])
-    widths = (dims.node_features, dims.edge_features)
-    if min(dims.to_json().values()) < 1 or widths != (NODE_FEATURE_SIZE, EDGE_FEATURE_SIZE):
+    if (dims.node_features, dims.edge_features) != (NODE_FEATURE_SIZE, EDGE_FEATURE_SIZE):
         raise SchemaVersionMismatch(
-            f"checkpoint dims {dims.to_json()} are not positive or do not fit the feature layout"
+            f"checkpoint dims {asdict(dims)} do not fit the feature layout"
         )
     raw_tensors = obj["tensors"]
     tensors = {}

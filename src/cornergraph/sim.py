@@ -412,13 +412,6 @@ def _plan_poses(table, times, rows, record):
 
 
 @dataclass(frozen=True)
-class StaticActor:
-    category: ActorCategory
-    location: tuple
-    heading: float
-
-
-@dataclass(frozen=True)
 class ExecutableScenario:
     scenario_id: str
     source_frame: int
@@ -426,7 +419,6 @@ class ExecutableScenario:
     ego_target_speed: float
     ego_from_rest: bool
     plans: tuple
-    statics: tuple
     infeasible: bool
     #: (matched prescribed relations, prescribed relations) over cut plans
     fidelity: tuple
@@ -530,18 +522,10 @@ def realize(
     }
 
     plans = []
-    statics = []
     any_infeasible = False
     matches = 0
     prescribed = 0
     for node in regular.nodes:
-        if node.category is ActorCategory.TRAFFIC_LIGHT or (
-            node.category is ActorCategory.OBJECT and node.state is not None
-        ):
-            statics.append(
-                StaticActor(node.category, node.state.location, node.state.heading)
-            )
-            continue
         if node.category not in ADVERSARY_CATEGORIES:
             continue
         state = node.state
@@ -622,7 +606,6 @@ def realize(
         ego_target_speed=v_e,
         ego_from_rest=from_rest,
         plans=tuple(plans),
-        statics=tuple(statics),
         infeasible=any_infeasible,
         fidelity=(matches, prescribed),
     )

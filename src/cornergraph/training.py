@@ -52,13 +52,22 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
     optimizer: str = "adam"  # "adam" | "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     split: tuple = (0.70, 0.20, 0.10)
     positive_weight: float = 1.0
     early_stop_patience: int = 20
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(
+                f"learning_rate must be finite and non-negative, got {self.learning_rate}"
+            )
+        if not (math.isfinite(self.positive_weight) and self.positive_weight > 0.0):
+            raise ValueError(
+                f"positive_weight must be finite and positive, got {self.positive_weight}"
+            )
 
 
 def bce_loss(y_hat, y, positive_weight: float = 1.0):
@@ -100,6 +109,10 @@ class _Adam:
     training run's memory, does not hold them.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(self, params: ModelParams, cfg: TrainConfig):
         self.cfg = cfg
         self.m = np.zeros(params.flat.size)
@@ -107,29 +120,28 @@ class _Adam:
         self.t = 0
 
     def step(self, params: ModelParams) -> None:
-        cfg = self.cfg
         self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
+        b1t = 1.0 - self.beta1**self.t
+        b2t = 1.0 - self.beta2**self.t
         g = params.flat_grad
         m, v = self.m, self.v
         a, b = np.empty_like(g), np.empty_like(g)
         # m = b1 * m + (1 - b1) * g
-        m *= cfg.beta1
-        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
         m += a
         # v = b2 * v + ((1 - b2) * g) * g
-        v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=a)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=a)
         a *= g
         v += a
         # data -= lr * ((m / b1t) / (sqrt(v / b2t) + eps))
         np.divide(v, b2t, out=a)
         np.sqrt(a, out=a)
-        a += cfg.eps
+        a += self.eps
         np.divide(m, b1t, out=b)
         b /= a
-        b *= cfg.learning_rate
+        b *= self.cfg.learning_rate
         params.flat -= b
 
 

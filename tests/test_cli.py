@@ -254,7 +254,13 @@ def test_simulate_pauses_the_collector_and_restores_it(
 
 @pytest.mark.parametrize(
     "command, target",
-    [("train", "train"), ("eval", "pooled_predictions"), ("perturb", "predict_each")],
+    [
+        ("train", "train"),
+        ("eval", "pooled_predictions"),
+        ("perturb", "predict_each"),
+        ("gen-data", "provenance"),
+        ("report", "provenance"),
+    ],
 )
 def test_eval_and_perturb_pause_the_collector_and_restore_it(
     pipeline, tmp_path, monkeypatch, capsys, command, target
@@ -267,22 +273,37 @@ def test_eval_and_perturb_pause_the_collector_and_restore_it(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, target, spy)
-    if command == "train":
-        argv = [command, "--config", pipeline["train_cfg"], "--data", pipeline["corpus"]]
-        read_in_block = pipeline["corpus"]
-    else:
-        argv = [command, "--data", pipeline["corpus"], "--model", pipeline["model"]]
-        read_in_block = pipeline["model"]
-    if command == "eval":
-        argv += ["--subset", "all"]
+    bad = tmp_path / "input.json"
+    bad.write_text("not json\n")
+    # per command: argv, the argument a failing run replaces, its
+    # replacement, and the failing run's exit code
+    runs = {
+        "gen-data": (["--count", "1"], "1", "0", 2),
+        "train": (
+            ["--config", pipeline["train_cfg"], "--data", pipeline["corpus"]],
+            pipeline["corpus"], str(bad), 3,
+        ),
+        "eval": (
+            ["--data", pipeline["corpus"], "--model", pipeline["model"], "--subset", "all"],
+            pipeline["model"], str(bad), 3,
+        ),
+        "perturb": (
+            ["--data", pipeline["corpus"], "--model", pipeline["model"]],
+            pipeline["model"], str(bad), 3,
+        ),
+        "report": (
+            ["--eval", pipeline["eval"], "--scr", pipeline["scr"]],
+            pipeline["eval"], str(bad), 3,
+        ),
+    }
+    flags, read_in_block, failing, code = runs[command]
+    argv = [command, *flags]
     assert gc.isenabled()
     assert main(argv + ["--out", str(tmp_path / "a.out")]) == 0
     assert seen == [False] and gc.isenabled()
     # a failure inside the paused block restores the collector too
-    bad = tmp_path / "input.json"
-    bad.write_text("not json\n")
-    argv[argv.index(read_in_block)] = str(bad)
-    assert main(argv + ["--out", str(tmp_path / "b.out")]) == 3
+    argv[argv.index(read_in_block)] = failing
+    assert main(argv + ["--out", str(tmp_path / "b.out")]) == code
     assert gc.isenabled()
 
 
@@ -313,6 +334,47 @@ def test_print_config_resolves_precedence(tmp_path, capsys):
     assert out["schema_version"] == "1"
 
 
+#: per subcommand, the keys of its configuration
+_CONFIG_KEYS = {
+    "gen-data": {"count", "seed"},
+    "train": {
+        "learning_rate", "epochs", "optimizer", "seed", "split", "positive_weight",
+        "early_stop_patience", "encoder_hidden", "gat1_out", "mid_hidden", "mid_out",
+        "triple_hidden",
+    },
+    "eval": {"subset"},
+    "perturb": {"mode", "tau", "frame"},
+    "simulate": {"profiles", "frame", "dt", "horizon"},
+    "report": set(),
+}
+#: per subcommand, a value for each flag that overrides a config key
+_OVERRIDES = {
+    "gen-data": {"count": "7", "seed": "5"},
+    "train": {"seed": "5"},
+    "eval": {"subset": "val"},
+    "perturb": {"mode": "threshold", "tau": "0.25", "frame": "2"},
+    "simulate": {"profiles": "Basic", "frame": "2"},
+    "report": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_KEYS))
+def test_print_config_shows_the_defaults_and_flags_beat_the_config_file(
+    tmp_path, capsys, command
+):
+    assert main([command, "--print-config"]) == 0
+    defaults = json.loads(capsys.readouterr().out)
+    assert set(defaults) == _CONFIG_KEYS[command] | {"schema_version"}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{key}=from-file\n" for key in _CONFIG_KEYS[command]))
+    flags = [arg for key, value in _OVERRIDES[command].items() for arg in (f"--{key}", value)]
+    assert main([command, "--config", str(cfg), *flags, "--print-config"]) == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert set(resolved) == set(defaults)
+    for key in _CONFIG_KEYS[command]:
+        assert resolved[key] == _OVERRIDES[command].get(key, "from-file"), key
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for content, message in [
@@ -336,6 +398,14 @@ def test_non_numeric_value_exits_2(pipeline, tmp_path, capsys):
         ("seed=-1", ["gen-data"]),
         ("count=-3", ["gen-data"]),
         ("count=0", ["gen-data"]),
+        ("encoder_hidden=0", ["train", "--data", pipeline["corpus"]]),
+        ("gat1_out=-2", ["train", "--data", pipeline["corpus"]]),
+        ("epochs=-3", ["train", "--data", pipeline["corpus"]]),
+        ("epochs=0", ["train", "--data", pipeline["corpus"]]),
+        ("learning_rate=nan", ["train", "--data", pipeline["corpus"]]),
+        ("learning_rate=-0.1", ["train", "--data", pipeline["corpus"]]),
+        ("positive_weight=-1", ["train", "--data", pipeline["corpus"]]),
+        ("positive_weight=inf", ["train", "--data", pipeline["corpus"]]),
     ]:
         cfg.write_text(setting + "\n")
         code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.json")])
@@ -629,6 +699,13 @@ def _report_with_not_json(flag):
     return argv
 
 
+def _report_of(eval_key, scr_key):
+    def argv(pipeline, tmp_path):
+        return ["report", "--eval", pipeline[eval_key], "--scr", pipeline[scr_key]]
+
+    return argv
+
+
 def _edited_corpus(edit):
     def argv(pipeline, tmp_path):
         obj = read_json(pipeline["corpus"])
@@ -687,6 +764,8 @@ def _drop(*path):
 _MALFORMED_INPUTS = {
     "eval-report-not-json": _report_with_not_json("--eval"),
     "scr-report-not-json": _report_with_not_json("--scr"),
+    "reports-swapped": _report_of("scr", "eval"),
+    "reports-a-corpus-and-a-checkpoint": _report_of("corpus", "model"),
     "scenario-without-layout": _edited_corpus(_drop("scenarios", 0, "layout")),
     "strip-width-negative": _edited_corpus(
         _set("scenarios", 0, "layout", "strips", 0, "width", value=-1)

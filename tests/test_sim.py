@@ -214,14 +214,13 @@ def test_motorway_realization_sets_from_rest():
     assert ex.ego_from_rest is True
 
 
-def test_statics_carry_traffic_lights():
+def test_traffic_light_gets_no_plan():
     scn = generate(ScenarioTemplate.RED_LIGHT_RUNNER, 2, 1)[0]
     g = build_scene_graph(scn.frames[0])
+    assert any(n.category is ActorCategory.TRAFFIC_LIGHT for n in g.nodes)
     ex = realize(g, g, scn.layout)
-    assert len(ex.statics) == 1
-    assert ex.statics[0].category is ActorCategory.TRAFFIC_LIGHT
     # the runner is a moving car, so exactly one adversary plan
-    assert len(ex.plans) == 1
+    assert [plan.category for plan in ex.plans] == [ActorCategory.CAR]
 
 
 def test_realize_rejects_mismatched_nodes():
@@ -238,7 +237,7 @@ def test_realize_rejects_mismatched_nodes():
 # --- episodes --------------------------------------------------------------
 
 
-def executable(plans, ego_speed=10.0, from_rest=False, statics=()):
+def executable(plans, ego_speed=10.0, from_rest=False):
     return ExecutableScenario(
         scenario_id="unit",
         source_frame=0,
@@ -246,7 +245,6 @@ def executable(plans, ego_speed=10.0, from_rest=False, statics=()):
         ego_target_speed=ego_speed,
         ego_from_rest=from_rest,
         plans=tuple(plans),
-        statics=tuple(statics),
         infeasible=False,
         fidelity=(0, 0),
     )
@@ -655,7 +653,6 @@ def executables(draw):
         ego_target_speed=draw(st.floats(0.0, 20.0)),
         ego_from_rest=draw(st.booleans()),
         plans=tuple(draw(st.lists(plans(), max_size=4))),
-        statics=(),
         infeasible=False,
         fidelity=(0, 0),
     )

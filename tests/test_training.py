@@ -19,6 +19,7 @@ from cornergraph.training import (
     TrainConfig,
     TrainLog,
     UnlabeledInstance,
+    _Adam,
     _compiled_chunks,
     _mean_loss,
     bce_loss,
@@ -161,13 +162,13 @@ def test_adam_fit_equals_a_per_tensor_reference(tiny_dims):
                 t.grad = None
             losses.append(_step_loss(ref, train_insts[idx]))
             step += 1
-            b1t = 1.0 - cfg.beta1**step
-            b2t = 1.0 - cfg.beta2**step
+            b1t = 1.0 - _Adam.beta1**step
+            b2t = 1.0 - _Adam.beta2**step
             for name, t in ref.items():
                 g = t.grad
-                m[name] = m[name] * cfg.beta1 + (1.0 - cfg.beta1) * g
-                v[name] = v[name] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
-                update = (m[name] / b1t) / (np.sqrt(v[name] / b2t) + cfg.eps)
+                m[name] = m[name] * _Adam.beta1 + (1.0 - _Adam.beta1) * g
+                v[name] = v[name] * _Adam.beta2 + (1.0 - _Adam.beta2) * g * g
+                update = (m[name] / b1t) / (np.sqrt(v[name] / b2t) + _Adam.eps)
                 t.data = t.data - cfg.learning_rate * update
         rows.append((epoch, float(np.mean(losses)), None))
         if rows[-1][1] < best:
