@@ -13,9 +13,9 @@ governing seed); CSV outputs get a sibling ``<name>.meta.json``.  Outputs
 contain no timestamps and keys are sorted, so reruns are byte-identical.
 
 Errors are reported as one JSON object on stderr.  Exit codes: 2 for a
-malformed configuration, 3 for an input of another schema version, one
-that does not decode or a frame that describes no scene, 4 for a missing
-input file.
+malformed configuration or a config key the subcommand does not read, 3
+for an input of another schema version, one that does not decode or a
+frame that describes no scene, 4 for a missing input file.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -121,11 +120,18 @@ def _as_float(cfg: dict, key: str) -> float:
 
 def resolve_config(args) -> dict:
     """The subcommand's defaults <- config file <- explicit flags, all as
-    strings.  A flag overrides the config key of its own name."""
+    strings.  A flag overrides the config key of its own name; a key of the
+    file that is not one of the defaults is an error."""
     cfg = dict(args.defaults)
     cfg["schema_version"] = CONFIG_SCHEMA_VERSION
     if args.config:
-        cfg.update(parse_config_file(args.config))
+        from_file = parse_config_file(args.config)
+        unknown = sorted(set(from_file) - set(cfg))
+        if unknown:
+            raise ConfigParseError(
+                f"{args.config}: {args.command} reads no config key(s) {unknown}"
+            )
+        cfg.update(from_file)
     for key in args.defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -159,9 +165,11 @@ def _write_meta(csv_path, prov: dict) -> None:
 
 def cmd_gen_data(args, cfg: dict) -> int:
     count = _as_int(cfg, "count")
-    seed = _seed(cfg)
+    seed = _as_int(cfg, "seed")
     if count < 1:
         raise ConfigParseError(f"config key 'count' must be at least 1, got {count}")
+    if seed < 0:
+        raise ConfigParseError(f"config key 'seed' must be non-negative, got {seed}")
 
     corpus = scenarios.generate_corpus(seed, count)
     scenarios.write_corpus(args.out, corpus, meta={"provenance": provenance(cfg, seed)})
@@ -172,7 +180,6 @@ def cmd_gen_data(args, cfg: dict) -> int:
 _TRAIN_DEFAULTS = {
     "learning_rate": "0.001",
     "epochs": "200",
-    "optimizer": "adam",
     "seed": "0",
     "split": "0.7,0.2,0.1",
     "positive_weight": "1.0",
@@ -185,33 +192,13 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _seed(cfg: dict) -> int:
-    seed = _as_int(cfg, "seed")
-    if seed < 0:
-        raise ConfigParseError(f"config key 'seed' must be non-negative, got {seed}")
-    return seed
-
-
-def _split_fractions(values) -> tuple:
-    """The train/val/test fractions ``values`` spell: three numbers in [0, 1]."""
-    split = tuple(float(x) for x in values)
-    if len(split) != 3 or not all(0.0 <= x <= 1.0 for x in split):
-        raise ValueError(f"split must be three fractions in [0, 1], got {values!r}")
-    return split
-
-
 @decoder("train config", ConfigParseError)
 def _train_config(cfg: dict) -> TrainConfig:
-    split = _split_fractions(cfg["split"].split(","))
-    optimizer = cfg["optimizer"]
-    if optimizer not in ("adam", "sgd"):
-        raise ConfigParseError(f"unknown optimizer {optimizer!r}")
     return TrainConfig(
         learning_rate=_as_float(cfg, "learning_rate"),
         epochs=_as_int(cfg, "epochs"),
-        optimizer=optimizer,
-        seed=_seed(cfg),
-        split=split,
+        seed=_as_int(cfg, "seed"),
+        split=tuple(float(x) for x in cfg["split"].split(",")),
         positive_weight=_as_float(cfg, "positive_weight"),
         early_stop_patience=_as_int(cfg, "early_stop_patience"),
     )
@@ -283,16 +270,18 @@ def _source_graph(scenario, frame: int):
 
 
 @decoder("train_config of the checkpoint", SchemaVersionMismatch)
-def _recorded_split(obj) -> tuple | None:
-    """(split fractions, seed) the checkpoint's ``train_config`` records, or
-    None without one."""
+def _recorded_split(obj) -> TrainConfig | None:
+    """The seed and split the checkpoint's ``train_config`` records, as a
+    ``TrainConfig`` with every other field at its default, or None without
+    one."""
     tc = obj.get("train_config")
     if tc is None:
         return None
-    seed = int(tc["seed"])
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return _split_fractions(tc["split"]), seed
+    return TrainConfig(seed=int(tc["seed"]), split=tuple(float(x) for x in tc["split"]))
+
+
+#: what ``eval --subset`` can score: a block of the recorded split, or all
+SUBSETS = ("train", "val", "test", "all")
 
 
 def _subset_scenarios(corpus, recorded, subset: str):
@@ -308,10 +297,7 @@ def _subset_scenarios(corpus, recorded, subset: str):
     ids = [scenario.id for scenario in corpus if len(scenario.frames) > 1]
     if not ids:
         raise MissingInputError(f"subset {subset!r} selects no instances")
-    split = scenario_split(ids, *recorded)
-    if subset not in split:
-        raise ConfigParseError(f"unknown subset {subset!r}")
-    wanted = set(split[subset])
+    wanted = set(scenario_split(ids, recorded.split, recorded.seed)[subset])
     return [scenario for scenario in corpus if scenario.id in wanted]
 
 
@@ -326,13 +312,15 @@ def _score_subset(data, model_path, subset: str) -> tuple:
     if not chosen:
         raise MissingInputError(f"subset {subset!r} selects no instances")
     probs, labels = pooled_predictions(params, chosen)
-    return probs, labels, len(chosen), None if recorded is None else recorded[1]
+    return probs, labels, len(chosen), None if recorded is None else recorded.seed
 
 
 def cmd_eval(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
     model_path = _require(args.model, "model checkpoint")
     subset = cfg["subset"]
+    if subset not in SUBSETS:
+        raise ConfigParseError(f"unknown subset {subset!r}")
 
     probs, labels, n_instances, seed = _score_subset(data, model_path, subset)
     report = metrics.sweep(probs, labels)
@@ -361,11 +349,16 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def _decode_mode(cfg: dict):
+    tau = _as_float(cfg, "tau")
+    if not 0.0 <= tau <= 1.0:
+        raise ConfigParseError(
+            f"config key 'tau' must be a finite number in [0, 1], got {cfg['tau']!r}"
+        )
     mode = cfg["mode"]
     if mode == "argmax":
         return ConsistentArgmax()
     if mode == "threshold":
-        return Threshold(_as_float(cfg, "tau"))
+        return Threshold(tau)
     raise ConfigParseError(f"unknown decode mode {mode!r}")
 
 
@@ -414,24 +407,6 @@ def _predicted_record(record) -> tuple:
     return scenario_id, graph_from_json(record["graph"])
 
 
-def _rollout_settings(cfg: dict) -> tuple:
-    """(dt, horizon): both finite and positive, and at least one step."""
-    dt = _as_float(cfg, "dt")
-    horizon = _as_float(cfg, "horizon")
-    for key, value in (("dt", dt), ("horizon", horizon)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigParseError(
-                f"config key {key!r} must be a finite positive number, got {cfg[key]!r}"
-            )
-    steps = horizon / dt
-    if not (math.isfinite(steps) and round(steps) >= 1):
-        raise ConfigParseError(
-            f"horizon {cfg['horizon']} over dt {cfg['dt']} must give at least "
-            f"one step, got {steps:g}"
-        )
-    return dt, horizon
-
-
 def _realize_corpus(data, predicted_path, frame) -> tuple:
     """(executables, whether any predicted graph was given): each scenario's
     frame ``frame`` realized against its predicted graph, or against itself
@@ -464,7 +439,6 @@ def _realize_corpus(data, predicted_path, frame) -> tuple:
 def cmd_simulate(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
     frame = _as_int(cfg, "frame")
-    dt, horizon = _rollout_settings(cfg)
     names = [n.strip() for n in cfg["profiles"].split(",") if n.strip()]
     if not names:
         raise ConfigParseError(f"profiles {cfg['profiles']!r} name no profile")
@@ -477,7 +451,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     profiles = [sim.PROFILES[n] for n in names]
 
     executables, perturbed = _realize_corpus(data, args.predicted, frame)
-    results = sim.simulate_batch(executables, profiles, dt=dt, horizon=horizon)
+    results = sim.simulate_batch(executables, profiles)
     report = sim.scr_report(results)
     matched = sum(e.fidelity[0] for e in executables)
     prescribed = sum(e.fidelity[1] for e in executables)
@@ -559,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", help="scenario corpus JSON")
     p.add_argument("--model", help="model checkpoint JSON")
-    p.add_argument("--subset", choices=["train", "val", "test", "all"])
+    p.add_argument("--subset", choices=SUBSETS)
     p.add_argument("--roc", help="write the ROC curve CSV here")
     p.add_argument("--pr", help="write the precision-recall curve CSV here")
     p.set_defaults(func=cmd_eval, defaults={"subset": "test"})
@@ -584,12 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="print the outcome table")
     p.set_defaults(
         func=cmd_simulate,
-        defaults={
-            "profiles": ",".join(sim.PROFILES),
-            "frame": "0",
-            "dt": str(sim.SIM_STEP),
-            "horizon": str(sim.HORIZON),
-        },
+        defaults={"profiles": ",".join(sim.PROFILES), "frame": "0"},
     )
 
     p = sub.add_parser("report", help="merge evaluation and simulation reports")

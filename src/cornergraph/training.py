@@ -51,7 +51,6 @@ _CLAMP_HI = 1.0 - 1e-12
 class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 200
-    optimizer: str = "adam"  # "adam" | "sgd"
     seed: int = 0
     split: tuple = (0.70, 0.20, 0.10)
     positive_weight: float = 1.0
@@ -60,6 +59,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.early_stop_patience < 1:
+            raise ValueError(
+                f"early_stop_patience must be at least 1, got {self.early_stop_patience}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if len(self.split) != 3 or not all(0.0 <= x <= 1.0 for x in self.split):
+            raise ValueError(f"split must be three fractions in [0, 1], got {self.split!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(
                 f"learning_rate must be finite and non-negative, got {self.learning_rate}"
@@ -143,22 +150,6 @@ class _Adam:
         b /= a
         b *= self.cfg.learning_rate
         params.flat -= b
-
-
-class _Sgd:
-    def __init__(self, params: ModelParams, cfg: TrainConfig):
-        self.cfg = cfg
-
-    def step(self, params: ModelParams) -> None:
-        params.flat -= self.cfg.learning_rate * params.flat_grad
-
-
-def _make_optimizer(params: ModelParams, cfg: TrainConfig):
-    if cfg.optimizer == "adam":
-        return _Adam(params, cfg)
-    if cfg.optimizer == "sgd":
-        return _Sgd(params, cfg)
-    raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
 
 
 @dataclass
@@ -268,7 +259,7 @@ def fit(
     if not train_insts:
         raise EmptyBatch("no training instances")
     params = ModelParams.initialize(dims, seed=cfg.seed)
-    optimizer = _make_optimizer(params, cfg)
+    optimizer = _Adam(params, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     log = TrainLog()
 

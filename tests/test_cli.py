@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 from pathlib import Path
@@ -10,9 +11,9 @@ from cornergraph.extended import attach_predictions, decode_prediction, extend
 from cornergraph.frames import build_scene_graph
 from cornergraph.graphs import graph_to_json
 from cornergraph.metrics import sweep
-from cornergraph.model import BATCH_SIZE, forward, load_checkpoint
+from cornergraph.model import BATCH_SIZE, ModelDims, forward, load_checkpoint
 from cornergraph.scenarios import corpus_instances, ground_truth_graph, read_corpus
-from cornergraph.training import pooled_predictions, scenario_split
+from cornergraph.training import TrainConfig, pooled_predictions, scenario_split
 
 TINY_TRAIN = """
 # reduced settings so the suite stays fast
@@ -307,19 +308,107 @@ def test_eval_and_perturb_pause_the_collector_and_restore_it(
     assert gc.isenabled()
 
 
-def test_train_accepts_a_config_that_still_sets_k_folds(pipeline, tmp_path):
-    # k_folds is no longer a key of its own; like any unknown key it is
-    # accepted, and training does not read it
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(TINY_TRAIN + "k_folds=5\n")
-    out = tmp_path / "model.json"
-    assert main([
-        "train", "--config", str(cfg), "--data", pipeline["corpus"], "--out", str(out),
-    ]) == 0
-    obj, want = read_json(str(out)), read_json(pipeline["model"])
-    assert obj["tensors"] == want["tensors"]
-    assert "k_folds" not in obj["train_config"]
-    assert obj["provenance"] != want["provenance"]
+#: argv templates over the pipeline's paths, and over ``bare_model``, the
+#: pipeline's checkpoint without its train_config
+_TRAIN = ["train", "--data", "{corpus}"]
+_THRESHOLD = ["perturb", "--data", "{corpus}", "--model", "{model}", "--mode", "threshold"]
+
+
+def _argv(template, pipeline, tmp_path):
+    obj = read_json(pipeline["model"])
+    del obj["train_config"]
+    bare = tmp_path / "bare_model.json"
+    bare.write_text(json.dumps(obj))
+    return [arg.format(bare_model=bare, **pipeline) for arg in template]
+
+
+@pytest.mark.parametrize(
+    "key, template",
+    [
+        ("epoch", _TRAIN),
+        ("optimizer", _TRAIN),
+        ("k_folds", _TRAIN),
+        ("dt", ["simulate", "--data", "{corpus}", "--profiles", "Normal"]),
+        ("seed", ["report", "--eval", "{eval}", "--scr", "{scr}"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_config_key_the_subcommand_does_not_read_exits_2(
+    pipeline, tmp_path, capsys, key, template
+):
+    argv = _argv(template, pipeline, tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key}=1\n")
+    out = tmp_path / "out.json"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_parse"
+    assert repr(key) in err["message"] and argv[0] in err["message"]
+    assert not out.exists()
+    assert main(argv + ["--config", str(cfg), "--print-config"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "setting, template",
+    [
+        ("tau=nan", _THRESHOLD),
+        ("tau=2", _THRESHOLD),
+        ("tau=-1", _THRESHOLD),
+        ("tau=inf", ["perturb", "--data", "{corpus}", "--model", "{model}"]),
+        ("early_stop_patience=0", _TRAIN),
+        ("early_stop_patience=-4", _TRAIN),
+        ("subset=foo", ["eval", "--data", "{corpus}", "--model", "{model}"]),
+        # checked before the checkpoint is read for a train_config
+        pytest.param(
+            "subset=foo",
+            ["eval", "--data", "{corpus}", "--model", "{bare_model}"],
+            id="subset=foo-eval-without-train_config",
+        ),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_setting_out_of_range_exits_2_and_names_its_key(
+    pipeline, tmp_path, capsys, setting, template
+):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out.json"
+    argv = _argv(template, pipeline, tmp_path)
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config_parse"
+    assert setting.split("=")[0] in err["message"]
+    assert not out.exists()
+
+
+def test_checkpoint_that_records_an_optimizer_loads_as_before(pipeline, tmp_path):
+    # checkpoints written while train had an optimizer key record it in
+    # their train_config; eval and perturb read only its seed and split
+    obj = read_json(pipeline["model"])
+    obj["train_config"]["optimizer"] = "adam"
+    older = tmp_path / "older_model.json"
+    older.write_text(json.dumps(obj))
+    for model, name in ((pipeline["model"], "a"), (str(older), "b")):
+        assert main([
+            "eval", "--data", pipeline["corpus"], "--model", model, "--subset", "test",
+            "--out", str(tmp_path / f"{name}.eval.json"),
+        ]) == 0
+        assert main([
+            "perturb", "--data", pipeline["corpus"], "--model", model,
+            "--out", str(tmp_path / f"{name}.decoded.jsonl"),
+        ]) == 0
+    for suffix in ("eval.json", "decoded.jsonl", "decoded.jsonl.meta.json"):
+        assert (tmp_path / f"a.{suffix}").read_bytes() == (tmp_path / f"b.{suffix}").read_bytes()
+
+
+def test_train_defaults_are_the_training_and_width_fields():
+    # a setting added to, or deleted from, only one side fails here
+    defaults = cli._TRAIN_DEFAULTS
+    widths = {f.name for f in dataclasses.fields(ModelDims)} - {"node_features", "edge_features"}
+    assert set(defaults) == {f.name for f in dataclasses.fields(TrainConfig)} | widths
+    assert cli._train_config(defaults) == TrainConfig()
+    assert cli._model_dims(defaults) == ModelDims()
 
 
 def test_print_config_resolves_precedence(tmp_path, capsys):
@@ -338,13 +427,13 @@ def test_print_config_resolves_precedence(tmp_path, capsys):
 _CONFIG_KEYS = {
     "gen-data": {"count", "seed"},
     "train": {
-        "learning_rate", "epochs", "optimizer", "seed", "split", "positive_weight",
+        "learning_rate", "epochs", "seed", "split", "positive_weight",
         "early_stop_patience", "encoder_hidden", "gat1_out", "mid_hidden", "mid_out",
         "triple_hidden",
     },
     "eval": {"subset"},
     "perturb": {"mode", "tau", "frame"},
-    "simulate": {"profiles", "frame", "dt", "horizon"},
+    "simulate": {"profiles", "frame"},
     "report": set(),
 }
 #: per subcommand, a value for each flag that overrides a config key
@@ -394,6 +483,7 @@ def test_non_numeric_value_exits_2(pipeline, tmp_path, capsys):
     for setting, argv in [
         ("count=banana", ["gen-data"]),
         ("split=a,b,c", ["train", "--data", pipeline["corpus"]]),
+        ("split=0.7,0.2,1.5", ["train", "--data", pipeline["corpus"]]),
         ("seed=-1", ["train", "--data", pipeline["corpus"]]),
         ("seed=-1", ["gen-data"]),
         ("count=-3", ["gen-data"]),
@@ -784,6 +874,9 @@ _MALFORMED_INPUTS = {
     "train-config-without-split": _edited_checkpoint(_drop("train_config", "split")),
     "train-config-not-an-object": _edited_checkpoint(_set("train_config", value="x")),
     "train-config-seed-negative": _edited_checkpoint(_set("train_config", "seed", value=-1)),
+    "train-config-split-out-of-range": _edited_checkpoint(
+        _set("train_config", "split", value=[0.7, 0.2, 1.5])
+    ),
 }
 
 

@@ -114,28 +114,6 @@ def test_scenario_split_keeps_at_least_one_training_scenario():
         scenario_split([], (0.7, 0.2, 0.1), seed=0)
 
 
-def test_sgd_step_is_exact(tiny_dims):
-    dataset, _ = small_dataset(n_scenarios=1)
-    inst = dataset[:1]
-    cfg = TrainConfig(
-        learning_rate=0.05, epochs=1, optimizer="sgd", seed=6, early_stop_patience=99
-    )
-
-    init = ModelParams.initialize(tiny_dims, seed=cfg.seed)
-    with ad.Tape() as tape:
-        probs = forward(init, inst[0])
-        loss = bce_loss(probs, np.asarray(inst[0].labels(), dtype=float))
-        tape.backward(loss)
-    expected = {
-        name: t.data - cfg.learning_rate * t.grad for name, t in init.items()
-    }
-
-    params, log = fit(inst, [], cfg, tiny_dims)
-    for name, t in params.items():
-        np.testing.assert_allclose(t.data, expected[name], rtol=0, atol=1e-12)
-    assert log.best_epoch == 0
-
-
 def _step_loss(params, ext):
     with ad.Tape() as tape:
         loss = bce_loss(forward(params, ext), np.asarray(ext.labels(), dtype=float))
@@ -201,8 +179,7 @@ def test_every_parameter_gets_a_gradient_in_every_step(tiny_dims):
 
 def test_zero_learning_rate_leaves_params_unchanged(tiny_dims):
     dataset, _ = small_dataset(n_scenarios=1)
-    cfg = TrainConfig(learning_rate=0.0, epochs=2, optimizer="adam", seed=1,
-                      early_stop_patience=99)
+    cfg = TrainConfig(learning_rate=0.0, epochs=2, seed=1, early_stop_patience=99)
     params, _ = fit(dataset, [], cfg, tiny_dims)
     init = ModelParams.initialize(tiny_dims, seed=cfg.seed)
     for name, t in params.items():
@@ -242,15 +219,28 @@ def test_train_records_scenario_split(tiny_dims):
 
 def test_early_stopping_honors_patience(tiny_dims):
     dataset, _ = small_dataset(n_scenarios=1)
-    cfg = TrainConfig(
-        learning_rate=0.0, epochs=50, optimizer="sgd", seed=2, early_stop_patience=3
-    )
+    cfg = TrainConfig(learning_rate=0.0, epochs=50, seed=2, early_stop_patience=3)
     # a single instance keeps the epoch loss bit-identical across shuffles
     _, log = fit(dataset[:1], [], cfg, tiny_dims)
     # constant loss: epoch 0 is best, then patience epochs with no improvement
     assert log.stopped_early is True
     assert log.best_epoch == 0
     assert len(log.rows) == 1 + cfg.early_stop_patience
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("early_stop_patience", 0),
+        ("seed", -1),
+        ("split", (0.5, 0.5)),
+        ("split", (0.7, 0.2, 1.5)),
+        ("split", (0.7, math.nan, 0.1)),
+    ],
+)
+def test_train_config_rejects_a_field_out_of_range(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
 
 
 def test_unlabeled_dataset_rejected(simple_frame, tiny_dims):
