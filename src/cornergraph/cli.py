@@ -43,6 +43,7 @@ from .graphs import (
     decoder,
     graph_from_json,
     graph_to_json,
+    json_int,
     open_output,
     read_json,
     read_json_lines,
@@ -177,42 +178,30 @@ def cmd_gen_data(args, cfg: dict) -> int:
     return 0
 
 
+@decoder("config key {1!r}", ConfigParseError)
+def _as_floats(cfg: dict, key: str) -> tuple:
+    return tuple(float(x) for x in cfg[key].split(","))
+
+
+#: how a setting is read from its config text, by the type of its default
+_PARSERS = {int: _as_int, float: _as_float, tuple: _as_floats}
+
+
+#: ``train``'s keys: the fields of ``TrainConfig`` and the widths of
+#: ``ModelDims``, each at its default, a tuple written comma-separated
 _TRAIN_DEFAULTS = {
-    "learning_rate": "0.001",
-    "epochs": "200",
-    "seed": "0",
-    "split": "0.7,0.2,0.1",
-    "positive_weight": "1.0",
-    "early_stop_patience": "20",
-    "encoder_hidden": "64",
-    "gat1_out": "64",
-    "mid_hidden": "128",
-    "mid_out": "256",
-    "triple_hidden": "4",
+    f.name: ",".join(map(str, f.default)) if isinstance(f.default, tuple) else str(f.default)
+    for settings in (TrainConfig, ModelDims)
+    for f in dataclasses.fields(settings)
 }
 
 
-@decoder("train config", ConfigParseError)
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=_as_float(cfg, "learning_rate"),
-        epochs=_as_int(cfg, "epochs"),
-        seed=_as_int(cfg, "seed"),
-        split=tuple(float(x) for x in cfg["split"].split(",")),
-        positive_weight=_as_float(cfg, "positive_weight"),
-        early_stop_patience=_as_int(cfg, "early_stop_patience"),
-    )
-
-
-@decoder("model dims", ConfigParseError)
-def _model_dims(cfg: dict) -> ModelDims:
-    return ModelDims(
-        encoder_hidden=_as_int(cfg, "encoder_hidden"),
-        gat1_out=_as_int(cfg, "gat1_out"),
-        mid_hidden=_as_int(cfg, "mid_hidden"),
-        mid_out=_as_int(cfg, "mid_out"),
-        triple_hidden=_as_int(cfg, "triple_hidden"),
-    )
+@decoder("{2}", ConfigParseError)
+def _settings(cfg: dict, settings: type, what: str):
+    """``settings`` built from the keys of ``cfg`` named after its fields,
+    each parsed by the type of its default; the range rules are its own."""
+    fields = dataclasses.fields(settings)
+    return settings(**{f.name: _PARSERS[type(f.default)](cfg, f.name) for f in fields})
 
 
 def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
@@ -229,8 +218,8 @@ def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
 
 def cmd_train(args, cfg: dict) -> int:
     data = _require(args.data, "scenario corpus")
-    tc = _train_config(cfg)
-    dims = _model_dims(cfg)
+    tc = _settings(cfg, TrainConfig, "train config")
+    dims = _settings(cfg, ModelDims, "model dims")
 
     params, log, n_instances, n_scenarios = _train_on_corpus(data, tc, dims)
     prov = provenance(cfg, tc.seed)
@@ -277,7 +266,7 @@ def _recorded_split(obj) -> TrainConfig | None:
     tc = obj.get("train_config")
     if tc is None:
         return None
-    return TrainConfig(seed=int(tc["seed"]), split=tuple(float(x) for x in tc["split"]))
+    return TrainConfig(seed=json_int(tc, "seed"), split=tuple(float(x) for x in tc["split"]))
 
 
 #: what ``eval --subset`` can score: a block of the recorded split, or all

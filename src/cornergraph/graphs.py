@@ -357,6 +357,15 @@ def decoder(what: str, error: type = SchemaError):
     return wrap
 
 
+def json_int(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a float or a bool is not
+    one."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} {value!r} is not an integer")
+    return value
+
+
 @decoder("{}")
 def read_json(path):
     """The JSON value in the file at ``path``."""

@@ -9,7 +9,7 @@ squashed to a probability.
 Message direction: a graph edge (head -> tail) delivers the head's embedding
 to the tail, so a node aggregates over its incoming edges.  Every node needs
 a self-edge for the self term of the aggregation; nodes without a recorded
-state get a synthetic self-loop during graph preparation.
+state get a synthetic self-loop when a batch is compiled.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .graphs import (
     SceneGraph,
     SchemaError,
     decoder,
+    json_int,
     read_json,
     write_json,
 )
@@ -153,21 +154,16 @@ def _edge_features(ordinals: np.ndarray, scalars: np.ndarray) -> np.ndarray:
     return attrs
 
 
-def prepare_attention_graph(graph: SceneGraph):
-    """Edge arrays for the attention layers: destination ids, source ids and
-    per-edge features, in canonical (dst, src, relation) order.  Nodes lacking
-    a self-edge get a synthetic self-loop so the self term is always defined.
-    """
-    dst, src, ordinals, scalars = _attention_arrays(_attention_rows(graph, 0))
-    return dst, src, _edge_features(ordinals, scalars)
+#: ``dims`` keys of older checkpoints, with the one value each can hold
+_LAYOUT_WIDTHS = {"node_features": NODE_FEATURE_SIZE, "edge_features": EDGE_FEATURE_SIZE}
 
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Layer widths; the defaults are the reference configuration."""
+    """Layer widths; the defaults are the reference configuration.  The
+    encoders' input widths are the feature layout's, ``NODE_FEATURE_SIZE``
+    and ``EDGE_FEATURE_SIZE``."""
 
-    node_features: int = NODE_FEATURE_SIZE
-    edge_features: int = EDGE_FEATURE_SIZE
     encoder_hidden: int = 64
     gat1_out: int = 64
     mid_hidden: int = 128
@@ -181,7 +177,13 @@ class ModelDims:
 
     @staticmethod
     def from_json(obj: dict) -> "ModelDims":
-        return ModelDims(**{k: int(v) for k, v in obj.items()})
+        """The widths of a checkpoint's ``dims``, each a JSON integer.  An
+        older checkpoint also records the feature layout's input widths."""
+        widths = {key: json_int(obj, key) for key in obj}
+        for key, size in _LAYOUT_WIDTHS.items():
+            if widths.pop(key, size) != size:
+                raise ValueError(f"{key} {obj[key]} does not fit the feature layout's {size}")
+        return ModelDims(**widths)
 
 
 DEFAULT_DIMS = ModelDims()
@@ -208,9 +210,9 @@ def _gat_shapes(n_in: int, n_out: int, prefix: str):
 
 def parameter_shapes(dims: ModelDims) -> list:
     shapes = []
-    shapes += _mlp_shapes(dims.node_features, dims.encoder_hidden, 1, "enc_node")
-    shapes += _mlp_shapes(dims.edge_features, dims.encoder_hidden, 1, "enc_edge")
-    shapes += _mlp_shapes(dims.edge_features, dims.encoder_hidden, 1, "enc_kg")
+    shapes += _mlp_shapes(NODE_FEATURE_SIZE, dims.encoder_hidden, 1, "enc_node")
+    shapes += _mlp_shapes(EDGE_FEATURE_SIZE, dims.encoder_hidden, 1, "enc_edge")
+    shapes += _mlp_shapes(EDGE_FEATURE_SIZE, dims.encoder_hidden, 1, "enc_kg")
     shapes += _gat_shapes(1, dims.gat1_out, "gat1")
     shapes += _mlp_shapes(dims.gat1_out, dims.mid_hidden, dims.mid_out, "mid")
     shapes += _gat_shapes(dims.mid_out, 1, "gat2")
@@ -351,7 +353,7 @@ class GraphBatch:
 
     categories: np.ndarray  # (n,) node category ordinals
     speeds: np.ndarray  # (n,) node speeds normalized to [0, 1]
-    dst: np.ndarray  # (m,) attention edges, in prepare_attention_graph order
+    dst: np.ndarray  # (m,) attention edges, in (dst, src, relation) order
     src: np.ndarray  # (m,)
     edge_ordinals: np.ndarray  # (m,) relation ordinals of the attention edges
     edge_scalars: np.ndarray  # (m,) state scalars of self-edges, zero elsewhere
@@ -602,10 +604,6 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
             f"checkpoint feature layout {layout!r}, expected {FEATURE_LAYOUT_ID}"
         )
     dims = ModelDims.from_json(obj["dims"])
-    if (dims.node_features, dims.edge_features) != (NODE_FEATURE_SIZE, EDGE_FEATURE_SIZE):
-        raise SchemaVersionMismatch(
-            f"checkpoint dims {asdict(dims)} do not fit the feature layout"
-        )
     raw_tensors = obj["tensors"]
     tensors = {}
     for name, shape in parameter_shapes(dims):

@@ -347,10 +347,10 @@ def _check(scenario: Scenario) -> None:
             raise GenerationError(
                 f"{scenario.id} frame {frame.index}: {violations[0].rule}"
             )
-    terminal = build_scene_graph(scenario.frames[-1])
+    # the loop ends on the terminal frame, so ``graph`` is its scene graph
     hit = any(
         e.relation is RelationCategory.UNSAFE_DISTANCE and e.tail == 0
-        for e in terminal.edges
+        for e in graph.edges
     )
     if not hit:
         raise GenerationError(f"{scenario.id}: terminal frame is not a conflict")

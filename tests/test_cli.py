@@ -403,12 +403,13 @@ def test_checkpoint_that_records_an_optimizer_loads_as_before(pipeline, tmp_path
 
 
 def test_train_defaults_are_the_training_and_width_fields():
-    # a setting added to, or deleted from, only one side fails here
+    # train reads exactly the fields of both, and its defaults parse to theirs
     defaults = cli._TRAIN_DEFAULTS
-    widths = {f.name for f in dataclasses.fields(ModelDims)} - {"node_features", "edge_features"}
-    assert set(defaults) == {f.name for f in dataclasses.fields(TrainConfig)} | widths
-    assert cli._train_config(defaults) == TrainConfig()
-    assert cli._model_dims(defaults) == ModelDims()
+    fields = [f.name for cls in (TrainConfig, ModelDims) for f in dataclasses.fields(cls)]
+    assert list(defaults) == fields and len(fields) == 11
+    assert cli._settings(defaults, TrainConfig, "train config") == TrainConfig()
+    assert cli._settings(defaults, ModelDims, "model dims") == ModelDims()
+    assert defaults["split"] == "0.7,0.2,0.1" and defaults["learning_rate"] == "0.001"
 
 
 def test_print_config_resolves_precedence(tmp_path, capsys):
@@ -500,7 +501,9 @@ def test_non_numeric_value_exits_2(pipeline, tmp_path, capsys):
         cfg.write_text(setting + "\n")
         code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.json")])
         assert code == 2, setting
-        assert json.loads(capsys.readouterr().err)["error"] == "config_parse"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config_parse"
+        assert setting.split("=")[0] in err["message"], setting
 
 
 def test_duplicate_config_key_exits_2(tmp_path, capsys):
@@ -822,13 +825,13 @@ def _edited_predicted(edit):
     return argv
 
 
-def _edited_checkpoint(edit):
+def _edited_checkpoint(edit, command=("eval", "--subset", "test")):
     def argv(pipeline, tmp_path):
         obj = read_json(pipeline["model"])
         edit(obj)
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(obj))
-        return ["eval", "--data", pipeline["corpus"], "--model", str(bad), "--subset", "test"]
+        return [command[0], "--data", pipeline["corpus"], "--model", str(bad), *command[1:]]
 
     return argv
 
@@ -877,6 +880,23 @@ _MALFORMED_INPUTS = {
     "train-config-split-out-of-range": _edited_checkpoint(
         _set("train_config", "split", value=[0.7, 0.2, 1.5])
     ),
+    "train-config-seed-fractional": _edited_checkpoint(_set("train_config", "seed", value=2.7)),
+    "train-config-seed-bool": _edited_checkpoint(_set("train_config", "seed", value=True)),
+    "dims-width-fractional": _edited_checkpoint(
+        _set("dims", "triple_hidden", value=4.9), ("perturb",)
+    ),
+    "dims-width-bool": _edited_checkpoint(_set("dims", "mid_out", value=True), ("perturb",)),
+    "dims-node-features-other": _edited_checkpoint(
+        _set("dims", "node_features", value=12), ("perturb",)
+    ),
+}
+#: the key a case's message names
+_NAMED_KEYS = {
+    "train-config-seed-fractional": "seed",
+    "train-config-seed-bool": "seed",
+    "dims-width-fractional": "triple_hidden",
+    "dims-width-bool": "mid_out",
+    "dims-node-features-other": "node_features",
 }
 
 
@@ -888,6 +908,7 @@ def test_malformed_input_exits_3_without_a_traceback(pipeline, tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "schema_version_mismatch"
     assert err["message"].startswith("malformed ")
+    assert _NAMED_KEYS.get(case, "") in err["message"]
     assert not out.exists()
 
 

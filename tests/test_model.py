@@ -21,12 +21,15 @@ from cornergraph.model import (
     CHECKPOINT_SCHEMA_VERSION,
     DEFAULT_DIMS,
     DEFAULT_PARAM_COUNT,
+    EDGE_FEATURE_SIZE,
     FEATURE_LAYOUT_ID,
+    NODE_FEATURE_SIZE,
     ModelDims,
     ModelParams,
     SchemaVersionMismatch,
     checkpoint_from_json,
     checkpoint_to_json,
+    compile_batch,
     cross_edge_feature,
     expected_param_count,
     forward,
@@ -36,7 +39,6 @@ from cornergraph.model import (
     parameter_shapes,
     predict_each,
     predict_probs,
-    prepare_attention_graph,
     save_checkpoint,
     self_edge_feature,
 )
@@ -180,7 +182,8 @@ def test_self_edge_features_encode_state():
 
 def test_attention_graph_adds_synthetic_self_loops(simple_frame):
     g = build_scene_graph(simple_frame)
-    dst, src, attrs = prepare_attention_graph(g)
+    batch = compile_batch([extend(g, 0)])
+    dst, src, attrs = batch.dst, batch.src, batch.edge_features()
     n = len(g.nodes)
     self_rows = [k for k in range(len(dst)) if dst[k] == src[k]]
     assert {int(dst[k]) for k in self_rows} == set(range(n))
@@ -200,9 +203,9 @@ def test_parameter_count_matches_independent_arithmetic():
 
     d = DEFAULT_DIMS
     total = (
-        mlp(d.node_features, d.encoder_hidden, 1)
-        + mlp(d.edge_features, d.encoder_hidden, 1)
-        + mlp(d.edge_features, d.encoder_hidden, 1)
+        mlp(NODE_FEATURE_SIZE, d.encoder_hidden, 1)
+        + mlp(EDGE_FEATURE_SIZE, d.encoder_hidden, 1)
+        + mlp(EDGE_FEATURE_SIZE, d.encoder_hidden, 1)
         + gat(1, d.gat1_out)
         + mlp(d.gat1_out, d.mid_hidden, d.mid_out)
         + gat(d.mid_out, 1)
@@ -341,9 +344,19 @@ def test_checkpoint_rejects_schema_drift(tiny_dims):
     with pytest.raises(SchemaVersionMismatch):
         checkpoint_from_json(bad_layout)
 
-    wide = checkpoint_to_json(ModelParams.initialize(ModelDims(node_features=12)))
-    with pytest.raises(SchemaVersionMismatch):
-        checkpoint_from_json(wide)
+    # older checkpoints record the feature layout's input widths in dims
+    older = dict(good, dims=dict(good["dims"], node_features=11, edge_features=9))
+    loaded = checkpoint_from_json(older)
+    assert loaded.dims == tiny_dims
+    np.testing.assert_array_equal(loaded.flat, params.flat)
+    for key, width in [("node_features", 12), ("edge_features", 8), ("edge_features", 9.0)]:
+        wide = dict(good, dims=dict(good["dims"], **{key: width}))
+        with pytest.raises(SchemaVersionMismatch, match=key):
+            checkpoint_from_json(wide)
+    for width in [4.9, 4.0, True]:
+        fractional = dict(good, dims=dict(good["dims"], triple_hidden=width))
+        with pytest.raises(SchemaVersionMismatch, match="triple_hidden"):
+            checkpoint_from_json(fractional)
 
     bad_shape = dict(good)
     bad_shape["tensors"] = dict(good["tensors"])
