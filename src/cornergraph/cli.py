@@ -266,7 +266,11 @@ def _recorded_split(obj) -> TrainConfig | None:
     tc = obj.get("train_config")
     if tc is None:
         return None
-    return TrainConfig(seed=json_int(tc, "seed"), split=tuple(float(x) for x in tc["split"]))
+    split = tc["split"]
+    # a bool is an int to Python, but not a fraction
+    if not all(type(x) in (int, float) for x in split):
+        raise TypeError(f"split {split!r} holds a value that is not a number")
+    return TrainConfig(seed=json_int(tc, "seed"), split=tuple(float(x) for x in split))
 
 
 #: what ``eval --subset`` can score: a block of the recorded split, or all
@@ -399,13 +403,20 @@ def _predicted_record(record) -> tuple:
 def _realize_corpus(data, predicted_path, frame) -> tuple:
     """(executables, whether any predicted graph was given): each scenario's
     frame ``frame`` realized against its predicted graph, or against itself
-    without one.  The corpus and its graphs are dropped on return."""
+    without one.  Each predicted graph must name a scenario of the corpus,
+    at most one graph a scenario.  The corpus and its graphs are dropped on return."""
     predicted = {}
     if predicted_path:
-        predicted = dict(
-            read_json_lines(_require(predicted_path, "predicted graphs"), _predicted_record)
-        )
+        path = _require(predicted_path, "predicted graphs")
+        for scenario_id, graph in read_json_lines(path, _predicted_record):
+            if predicted.setdefault(scenario_id, graph) is not graph:
+                raise SchemaError(f"{path} gives scenario {scenario_id} more than one graph")
     corpus, _ = scenarios.read_corpus(data)
+    unknown = sorted(predicted.keys() - {scenario.id for scenario in corpus})
+    if unknown:
+        raise SchemaError(
+            f"{len(unknown)} predicted graph(s) name no scenario of {data}, first {unknown[0]}"
+        )
     executables = []
     for scenario in corpus:
         regular = _source_graph(scenario, frame)

@@ -29,6 +29,7 @@ from .graphs import (
     SchemaError,
     SELF_STATE_CATEGORIES,
     decoder,
+    json_int,
     sort_edges,
 )
 from .relations import discretize_distance, discretize_relative_position, relative_angle
@@ -97,7 +98,7 @@ class RoadLayout:
                 category=ActorCategory(raw["category"]),
                 center=float(raw["center"]),
                 width=float(raw["width"]),
-                direction=int(raw.get("direction", 0)),
+                direction=json_int(raw, "direction", 0),
             )
             for raw in obj["strips"]
         )

@@ -357,9 +357,11 @@ def decoder(what: str, error: type = SchemaError):
     return wrap
 
 
-def json_int(obj: dict, key: str) -> int:
+def json_int(obj: dict, key: str, default: int | None = None) -> int:
     """``obj[key]``, which must be a JSON integer: a float or a bool is not
-    one."""
+    one.  ``default``, when given, stands in for a missing key."""
+    if default is not None and key not in obj:
+        return default
     value = obj[key]
     if type(value) is not int:
         raise TypeError(f"{key} {value!r} is not an integer")
@@ -462,22 +464,22 @@ def graph_from_json(obj: dict) -> SceneGraph:
         _reject_unknown(raw, _NODE_KEYS, "node")
         state = state_from_json(raw["state"]) if "state" in raw else None
         nodes.append(
-            Node(id=int(raw["id"]), category=ActorCategory(raw["category"]), state=state)
+            Node(id=json_int(raw, "id"), category=ActorCategory(raw["category"]), state=state)
         )
     edges = []
     for raw in obj["edges"]:
         _reject_unknown(raw, _EDGE_KEYS, "edge")
         edges.append(
             Edge(
-                head=int(raw["head"]),
+                head=json_int(raw, "head"),
                 relation=RelationCategory(raw["relation"]),
-                tail=int(raw["tail"]),
+                tail=json_int(raw, "tail"),
             )
         )
     return SceneGraph(
         nodes=tuple(nodes),
         edges=tuple(edges),
-        frame_index=int(obj.get("frame", 0)),
+        frame_index=json_int(obj, "frame", 0),
         is_corner_case=bool(obj.get("corner_case", False)),
     )
 

@@ -15,13 +15,13 @@ state get a synthetic self-loop when a batch is compiled.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import MissingSelfEdge, ShapeMismatch, Tensor
+from .autodiff import MissingSelfEdge, ShapeMismatch, Tensor, active_tape
 from .extended import CATEGORY_ORDINAL, RELATIONS, ExtendedGraph
 from .graphs import (
     ActorCategory,
@@ -231,8 +231,8 @@ class ModelParams:
     in tensor order, and each tensor's ``data`` is a reshaped view into it;
     the tensors passed in are adopted, their data copied into ``flat``.
     Gradients get a second buffer, ``flat_grad``, with each ``grad`` a view
-    into it, from the first ``zero_grad`` on: a snapshot or a loaded
-    checkpoint never needs one.  An optimizer updates every parameter with
+    into it, from the first ``zero_grad`` or backward on: a snapshot or a
+    loaded checkpoint never needs one.  An optimizer updates every parameter with
     one pass over the buffers.
 
     Weights start uniform in +-1/sqrt(fan_in); biases start at zero.  The
@@ -272,13 +272,10 @@ class ModelParams:
             if name.endswith((".b1", ".b2")):
                 data = np.zeros(shape)
             else:
-                if len(shape) == 2:
-                    fan_in = shape[1]
-                else:
-                    fan_in = shape[0]
-                bound = 1.0 / np.sqrt(fan_in)
+                # fan-in: a weight matrix's input width, the attention vector's length
+                bound = 1.0 / np.sqrt(shape[-1])
                 data = rng.uniform(-bound, bound, size=shape)
-            tensors[name] = Tensor(data, requires_grad=True)
+            tensors[name] = Tensor(data)
         return cls(dims, tensors)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -299,36 +296,40 @@ class ModelParams:
 
     def clone(self) -> "ModelParams":
         # views of this buffer, copied into the clone's own in one concatenation
-        tensors = {name: Tensor(t.data, requires_grad=True) for name, t in self.items()}
+        tensors = {name: Tensor(t.data) for name, t in self.items()}
         return ModelParams(self.dims, tensors)
 
     def load_from(self, other: "ModelParams") -> None:
         np.copyto(self.flat, other.flat)
 
 
-def _mlp(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    """Linear, ELU, linear, as one taped op."""
-    w1, b1 = params[f"{prefix}.w1"], params[f"{prefix}.b1"]
-    w2, b2 = params[f"{prefix}.w2"], params[f"{prefix}.b2"]
-    if x.data.ndim != 2 or x.data.shape[1] != w1.data.shape[1]:
-        raise ShapeMismatch(f"{prefix} takes {w1.data.shape[1]} features, got {x.data.shape}")
-    pre = x.data @ w1.data.T + b1.data
-    positive = pre > 0
+_MLP_WEIGHTS = ("w1", "b1", "w2", "b2")
+_GAT_WEIGHTS = ("theta", "theta_p", "att")
+
+
+def _mlp(params: ModelParams, prefix: str, x: np.ndarray):
+    """Linear, ELU, linear.  Returns the output and its backward, which maps
+    the output's gradient to those of ``x``, ``w1``, ``b1``, ``w2``, ``b2``."""
+    w1, b1, w2, b2 = (params[f"{prefix}.{name}"].data for name in _MLP_WEIGHTS)
+    if x.ndim != 2 or x.shape[1] != w1.shape[1]:
+        raise ShapeMismatch(f"{prefix} takes {w1.shape[1]} features, got {x.shape}")
+    pre = x @ w1.T + b1
+    hidden, elu_backward = _elu(pre)
+    out = hidden @ w2.T + b2
+
+    def backward(g):
+        g_pre = elu_backward(g @ w2)
+        return g_pre @ w1, g_pre.T @ x, g_pre.sum(axis=0), g.T @ hidden, g.sum(axis=0)
+
+    return out, backward
+
+
+def _elu(x: np.ndarray):
+    """ELU, with its backward."""
+    positive = x > 0
     # expm1 only sees the non-positive branch; large positives would overflow
-    hidden = np.where(positive, pre, np.expm1(np.minimum(pre, 0.0)))
-    out = hidden @ w2.data.T + b2.data
-
-    def bwd(g):
-        g_pre = (g @ w2.data) * np.where(positive, 1.0, hidden + 1.0)
-        return (
-            g_pre @ w1.data,
-            g_pre.T @ x.data,
-            g_pre.sum(axis=0),
-            g.T @ hidden,
-            g.sum(axis=0),
-        )
-
-    return ad.apply((x, w1, b1, w2, b2), out, bwd)
+    out = np.where(positive, x, np.expm1(np.minimum(x, 0.0)))
+    return out, lambda g: g * np.where(positive, 1.0, out + 1.0)
 
 
 #: slope of the attention scores' leaky rectifier below zero
@@ -407,16 +408,10 @@ def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
     )
 
 
-def attend(
-    h: Tensor,
-    dst: np.ndarray,
-    src: np.ndarray,
-    p: Tensor,
-    theta: Tensor,
-    theta_p: Tensor,
-    att: Tensor,
-) -> Tensor:
-    """One attention layer over a fixed edge structure, as one taped op.
+def attend(h, dst, src, p, theta, theta_p, att):
+    """One attention layer over a fixed edge structure.  Returns the output
+    and its backward, which maps the output's gradient to those of ``h``,
+    ``p``, ``theta``, ``theta_p`` and ``att``.
 
     Per edge, a raw score is the attention vector dotted with
     [transformed dst embedding | transformed src embedding | transformed edge
@@ -424,16 +419,16 @@ def attend(
     destination's incoming edges and weight the source embeddings, which are
     then summed per destination.
     """
-    n = h.data.shape[0]
+    n = h.shape[0]
     covered = np.zeros(n, dtype=bool)
     covered[dst[dst == src]] = True
     if not covered.all():
         raise MissingSelfEdge(f"nodes {np.flatnonzero(~covered).tolist()} have no self-edge")
-    m, k = dst.shape[0], theta.data.shape[0]
-    att_row = att.data.reshape(1, -1)
-    z = h.data @ theta.data.T
+    m, k = dst.shape[0], theta.shape[0]
+    att_row = att.reshape(1, -1)
+    z = h @ theta.T
     zj = z[src]
-    stacked = np.concatenate([z[dst], zj, p.data @ theta_p.data.T], axis=1)
+    stacked = np.concatenate([z[dst], zj, p @ theta_p.T], axis=1)
     scores = (stacked @ att_row.T).reshape(-1)
     positive = scores > 0
     raw = np.where(positive, scores, LEAKY_SLOPE * scores)
@@ -446,7 +441,7 @@ def attend(
     out = np.zeros((n, k))
     np.add.at(out, dst, zj * alpha[:, None])
 
-    def bwd(g):
+    def backward(g):
         g_msg = g[dst]
         g_alpha = (g_msg * zj).sum(axis=1)
         weighted = np.bincount(dst, weights=g_alpha * alpha, minlength=n)
@@ -462,67 +457,80 @@ def attend(
         np.add.at(g_dst, dst, g_stacked[:, :k])
         g_z = g_src + g_dst
         return (
-            g_z @ theta.data,
-            g_zp @ theta_p.data,
-            g_z.T @ h.data,
-            g_zp.T @ p.data,
+            g_z @ theta,
+            g_zp @ theta_p,
+            g_z.T @ h,
+            g_zp.T @ p,
             (g_scores.T @ stacked).reshape(-1),
         )
 
-    return ad.apply((h, p, theta, theta_p, att), out, bwd)
+    return out, backward
 
 
 def gat_layer(h, edges: Sequence, theta, theta_p, att) -> Tensor:
-    """Attention layer over explicit ``(destination, source, encoding)`` edges.
+    """Attention layer over explicit ``(destination, source, encoding)`` edges,
+    forward only.
 
     ``h`` may be a 1-D vector of per-node scalars or an (n, d) matrix; the
     result is (n, out).  Every node must appear in a self-edge.
     """
-    if not isinstance(h, Tensor):
-        h = Tensor(h)
-    if h.data.ndim == 1:
-        h = Tensor(h.data.reshape(-1, 1))
-    theta = theta if isinstance(theta, Tensor) else Tensor(theta)
-    theta_p = theta_p if isinstance(theta_p, Tensor) else Tensor(theta_p)
-    att = att if isinstance(att, Tensor) else Tensor(att)
+    h = np.asarray(h, dtype=np.float64).reshape(len(h), -1)
     dst = np.array([e[0] for e in edges], dtype=np.int64)
     src = np.array([e[1] for e in edges], dtype=np.int64)
-    p = Tensor(np.array([[float(e[2])] for e in edges]))
-    return attend(h, dst, src, p, theta, theta_p, att)
+    p = np.array([[float(e[2])] for e in edges])
+    weights = (np.asarray(w, dtype=np.float64) for w in (theta, theta_p, att))
+    return Tensor(attend(h, dst, src, p, *weights)[0])
 
 
-def _triple_input(h2: Tensor, p_kg: Tensor, heads: np.ndarray, tails: np.ndarray) -> Tensor:
+def _triple_input(h2: np.ndarray, p_kg: np.ndarray, heads: np.ndarray, tails: np.ndarray):
     """[head embedding | candidate-relation encoding | tail embedding] per
-    candidate, as one taped op."""
-    k = h2.data.shape[1]
-    out = np.concatenate([h2.data[heads], p_kg.data, h2.data[tails]], axis=1)
+    candidate.  Returns it and its backward, which maps its gradient to
+    those of ``h2`` and ``p_kg``."""
+    k = h2.shape[1]
+    out = np.concatenate([h2[heads], p_kg, h2[tails]], axis=1)
 
-    def bwd(g):
-        g_heads = np.zeros_like(h2.data)
+    def backward(g):
+        g_heads = np.zeros_like(h2)
         np.add.at(g_heads, heads, g[:, :k])
-        g_tails = np.zeros_like(h2.data)
+        g_tails = np.zeros_like(h2)
         np.add.at(g_tails, tails, g[:, -k:])
         return g_tails + g_heads, g[:, k:-k]
 
-    return ad.apply((h2, p_kg), out, bwd)
+    return out, backward
 
 
-def _probabilities(logits: Tensor) -> Tensor:
-    """Sigmoid of a column of logits, as a flat vector."""
-    shape = logits.data.shape
-    out = 0.5 * (1.0 + np.tanh(0.5 * logits.data.reshape(-1)))
-    return ad.apply((logits,), out, lambda g: ((g * out * (1.0 - out)).reshape(shape),))
+def _probabilities(logits: np.ndarray):
+    """Sigmoid of a column of logits, as a flat vector, with its backward."""
+    shape = logits.shape
+    out = 0.5 * (1.0 + np.tanh(0.5 * logits.reshape(-1)))
+    return out, lambda g: (g * out * (1.0 - out)).reshape(shape)
 
 
-def encode(params: ModelParams, batch: GraphBatch):
-    """Scalar encodings: per-node, per-attention-edge, per-candidate.
+def _kept(result, backs):
+    """A block's output; its backward goes on ``backs`` unless that is None,
+    so without a tape it is dropped, with its activations, at once."""
+    out, backward = result
+    if backs is not None:
+        backs.append(backward)
+    return out
 
-    Returns ``(h, p, p_kg)`` with shapes (n,1), (m,1), (q,1), aligned with
-    the batch's nodes, attention edges and candidates.
-    """
-    h = _mlp(params, "enc_node", Tensor(batch.node_features()))
-    p = _mlp(params, "enc_edge", Tensor(batch.edge_features()))
-    p_kg = _mlp(params, "enc_kg", Tensor(batch.candidate_features()))
+
+def _into(params: ModelParams, prefix: str, names: tuple, grads: tuple) -> tuple:
+    """Add the trailing weight gradients of a block backward's ``grads`` into
+    the ``grad`` of ``prefix``'s ``names``; return the input gradients."""
+    n = len(grads) - len(names)
+    for name, g in zip(names, grads[n:]):
+        params[f"{prefix}.{name}"].grad += g
+    return grads[:n]
+
+
+def encode(params: ModelParams, batch: GraphBatch, backs: list | None):
+    """Scalar encodings ``(h, p, p_kg)``, (n,1), (m,1) and (q,1), of the
+    batch's nodes, attention edges and candidates; the encoders' backwards
+    go on ``backs`` unless that is None."""
+    h = _kept(_mlp(params, "enc_node", batch.node_features()), backs)
+    p = _kept(_mlp(params, "enc_edge", batch.edge_features()), backs)
+    p_kg = _kept(_mlp(params, "enc_kg", batch.candidate_features()), backs)
     return h, p, p_kg
 
 
@@ -531,17 +539,44 @@ def forward(params: ModelParams, ext: ExtendedGraph | GraphBatch) -> Tensor:
 
     ``ext`` is one extended graph, scored as a batch of one, or a compiled
     ``GraphBatch``, whose graphs' candidates come out one graph after another.
+    While a ``Tape`` is active, the pass records one backward: ``_backward``
+    over its blocks' backwards.
     """
     batch = ext if isinstance(ext, GraphBatch) else compile_batch([ext])
+    tape = active_tape()
+    backs = None if tape is None else []
     dst, src = batch.dst, batch.src
-    h, p, p_kg = encode(params, batch)
+    h, p, p_kg = encode(params, batch, backs)
 
-    h1 = attend(h, dst, src, p, params["gat1.theta"], params["gat1.theta_p"], params["gat1.att"])
-    z = ad.elu(_mlp(params, "mid", h1))
-    h2 = attend(z, dst, src, p, params["gat2.theta"], params["gat2.theta_p"], params["gat2.att"])
+    gat1 = (params[f"gat1.{name}"].data for name in _GAT_WEIGHTS)
+    h1 = _kept(attend(h, dst, src, p, *gat1), backs)
+    z = _kept(_elu(_kept(_mlp(params, "mid", h1), backs)), backs)
+    gat2 = (params[f"gat2.{name}"].data for name in _GAT_WEIGHTS)
+    h2 = _kept(attend(z, dst, src, p, *gat2), backs)
 
-    logits = _mlp(params, "triple", _triple_input(h2, p_kg, batch.heads, batch.tails))
-    return _probabilities(logits)
+    triples = _kept(_triple_input(h2, p_kg, batch.heads, batch.tails), backs)
+    probs = _kept(_probabilities(_kept(_mlp(params, "triple", triples), backs)), backs)
+    if tape is not None:
+        tape.records.append(partial(_backward, params, backs))
+    return Tensor(probs)
+
+
+def _backward(params: ModelParams, backs: list, g: np.ndarray) -> None:
+    """Run the blocks' backwards of one ``forward`` in reverse, from the
+    gradient of its probabilities, and add each parameter's gradient into
+    its view of ``params.flat_grad``, which the first call makes."""
+    if params.flat_grad is None:
+        params.zero_grad()
+    enc_node, enc_edge, enc_kg, gat1, mid, elu, gat2, triples, triple, probs = backs
+    (g,) = _into(params, "triple", _MLP_WEIGHTS, triple(probs(g)))
+    g_h2, g_kg = triples(g)
+    g_z, g_p = _into(params, "gat2", _GAT_WEIGHTS, gat2(g_h2))
+    (g,) = _into(params, "mid", _MLP_WEIGHTS, mid(elu(g_z)))
+    g_h, g_p1 = _into(params, "gat1", _GAT_WEIGHTS, gat1(g))
+    _into(params, "enc_kg", _MLP_WEIGHTS, enc_kg(g_kg))
+    # both layers attend over the edge encodings: GAT2's gradient, then GAT1's
+    _into(params, "enc_edge", _MLP_WEIGHTS, enc_edge(g_p + g_p1))
+    _into(params, "enc_node", _MLP_WEIGHTS, enc_node(g_h))
 
 
 def predict_probs(params: ModelParams, ext: ExtendedGraph) -> np.ndarray:
@@ -613,7 +648,7 @@ def checkpoint_from_json(obj: dict) -> ModelParams:
                 f"tensor {name} has shape {raw['shape']!r}, expected {list(shape)}"
             )
         data = np.asarray(raw["data"], dtype=np.float64).reshape(shape)
-        tensors[name] = Tensor(data, requires_grad=True)
+        tensors[name] = Tensor(data)
     return ModelParams(dims, tensors)
 
 

@@ -37,6 +37,7 @@ from .graphs import (
     SchemaError,
     _reject_unknown,
     decoder,
+    json_int,
     read_json,
     state_from_json,
     state_to_json,
@@ -504,7 +505,7 @@ def scenario_from_json(obj: dict) -> Scenario:
             )
         frames.append(
             FrameSnapshot(
-                index=int(raw["index"]),
+                index=json_int(raw, "index"),
                 is_corner_case=bool(raw["corner_case"]),
                 layout=layout,
                 actors=tuple(actors),
@@ -515,8 +516,8 @@ def scenario_from_json(obj: dict) -> Scenario:
     return Scenario(
         id=str(obj["id"]),
         template=ScenarioTemplate(obj["template"]),
-        seed=int(obj["seed"]),
-        index=int(obj["index"]),
+        seed=json_int(obj, "seed"),
+        index=json_int(obj, "index"),
         layout=layout,
         frames=tuple(frames),
     )

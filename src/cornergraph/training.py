@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import ShapeMismatch, Tape, Tensor, active_tape
 from .extended import ExtendedGraph
 from .graphs import open_output
 from .model import (
@@ -80,7 +79,8 @@ class TrainConfig:
 def bce_loss(y_hat, y, positive_weight: float = 1.0):
     """Mean binary cross-entropy with clamped probabilities.
 
-    ``y_hat`` may be a Tensor (gradients flow) or an array (returns a float).
+    ``y_hat`` may be the Tensor ``forward`` returns, for a Tensor loss whose
+    backward is recorded while a ``Tape`` is active, or an array, for a float.
     Positive terms are scaled by ``positive_weight``.
     """
     taped = isinstance(y_hat, Tensor)
@@ -89,21 +89,21 @@ def bce_loss(y_hat, y, positive_weight: float = 1.0):
     if probs.size == 0:
         raise EmptyBatch("no predictions to score")
     if probs.shape != labels.shape:
-        raise ad.ShapeMismatch(f"predictions {probs.shape} vs labels {labels.shape}")
+        raise ShapeMismatch(f"predictions {probs.shape} vs labels {labels.shape}")
     w = float(positive_weight)
     p = np.clip(probs, _CLAMP_LO, _CLAMP_HI)
     terms = w * labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
     loss = -terms.mean()
-    if not taped:
-        return float(loss)
-    inside = (probs >= _CLAMP_LO) & (probs <= _CLAMP_HI)
-    n = labels.size
+    tape = active_tape()
+    if taped and tape is not None:
 
-    def bwd(g):
-        dp = -(w * labels / p - (1.0 - labels) / (1.0 - p)) / n
-        return (g * np.where(inside, dp, 0.0),)
+        def backward(g):
+            inside = (probs >= _CLAMP_LO) & (probs <= _CLAMP_HI)
+            dp = -(w * labels / p - (1.0 - labels) / (1.0 - p)) / labels.size
+            return g * np.where(inside, dp, 0.0)
 
-    return ad.apply((y_hat,), np.asarray(loss), bwd)
+        tape.records.append(backward)
+    return Tensor(loss) if taped else float(loss)
 
 
 class _Adam:
@@ -242,7 +242,7 @@ def _loss_and_gradient(params: ModelParams, batch, labels: np.ndarray, positive_
     with Tape() as tape:
         loss = bce_loss(forward(params, batch), labels, positive_weight)
         tape.backward(loss)
-    return loss.item()
+    return float(loss.data)
 
 
 def fit(

@@ -2,69 +2,54 @@ import numpy as np
 import pytest
 
 from cornergraph import autodiff as ad
-from cornergraph.model import _mlp, _probabilities, _triple_input, attend
+from cornergraph.model import (
+    ModelParams,
+    _elu,
+    _mlp,
+    _probabilities,
+    _triple_input,
+    attend,
+    forward,
+)
+from cornergraph.scenarios import ScenarioTemplate, generate, to_instances
+from cornergraph.training import bce_loss
 
 
-def central_difference(fn, params, step=1e-5):
-    """Numerical gradient of a scalar-valued fn of flat parameter arrays."""
+def central_difference(fn, arrays, step=1e-5):
+    """Numerical gradient of a scalar-valued fn with respect to each array,
+    each entry perturbed in place and restored."""
     grads = []
-    for i, p in enumerate(params):
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
+    for a in arrays:
+        g = np.zeros_like(a)
+        flat = a.reshape(-1)
         gflat = g.reshape(-1)
         for j in range(flat.size):
             saved = flat[j]
             flat[j] = saved + step
-            hi = fn(params)
+            hi = fn()
             flat[j] = saved - step
-            lo = fn(params)
+            lo = fn()
             flat[j] = saved
             gflat[j] = (hi - lo) / (2.0 * step)
         grads.append(g)
     return grads
 
 
-def tape_gradients(build_loss, arrays):
-    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    with ad.Tape():
-        loss = build_loss(tensors)
-        ad.backward(loss)
-    return [t.grad for t in tensors]
+def block_gradients(block, arrays, weights):
+    """The block's backward of ``weights``, one gradient per input array."""
+    grads = block(*arrays)[1](weights)
+    return grads if isinstance(grads, tuple) else (grads,)
 
 
-def check_against_fd(build_loss, arrays, rtol=1e-6, atol=1e-8):
-    analytic = tape_gradients(build_loss, arrays)
-
-    def numeric_fn(params):
-        tensors = [ad.Tensor(p, requires_grad=False) for p in params]
-        with ad.Tape():
-            return build_loss(tensors).item()
-
-    numeric = central_difference(numeric_fn, [a.copy() for a in arrays])
+def check_against_fd(block, arrays, seed=0, rtol=1e-6, atol=1e-8):
+    """A block's backward against central differences of its output dotted
+    with a random weight array, for every input."""
+    weights = np.random.default_rng(seed).normal(size=block(*arrays)[0].shape)
+    analytic = block_gradients(block, arrays, weights)
+    assert len(analytic) == len(arrays)
+    numeric = central_difference(lambda: float((block(*arrays)[0] * weights).sum()), arrays)
     for got, want in zip(analytic, numeric):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
-
-
-# --- ops built here, over ad.apply, to exercise the tape ------------------
-
-
-def add(a, b):
-    # hands one array to both parents
-    return ad.apply((a, b), a.data + b.data, lambda g: (g, g))
-
-
-def mul(a, b):
-    return ad.apply((a, b), a.data * b.data, lambda g: (g * b.data, g * a.data))
-
-
-def scale(a, c):
-    return ad.apply((a,), a.data * c, lambda g: (g * c,))
-
-
-def weighted_total(x, weights=None):
-    """sum(x * weights) as a scalar; all weights 1 by default."""
-    w = np.ones_like(x.data) if weights is None else weights
-    return ad.apply((x,), np.asarray((x.data * w).sum()), lambda g: (g * w,))
 
 
 RNG = np.random.default_rng(20240)
@@ -77,80 +62,7 @@ def away_from_kink(shape, margin=1e-2):
     return x * RNG.choice([-1.0, 1.0], size=shape)
 
 
-# --- the tape --------------------------------------------------------------
-
-
-def test_gradient_accumulates_across_reuse():
-    # y = x * x + x: dy/dx = 2x + 1, exercised through three tape records
-    x = ad.Tensor(np.asarray([3.0]), requires_grad=True)
-    with ad.Tape():
-        loss = weighted_total(add(mul(x, x), x))
-        ad.backward(loss)
-    np.testing.assert_allclose(x.grad, [7.0])
-
-
-def test_backward_sums_gradients_that_share_one_array():
-    # add's backward hands one array to both parents, and u collects from two
-    # adds: summing into that array in place once gave x.grad == [10.]
-    x = ad.Tensor(np.asarray([1.0]), requires_grad=True)
-    with ad.Tape():
-        u = scale(x, 2.0)
-        v = scale(x, 3.0)
-        loss = weighted_total(add(add(u, v), u))
-        ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, [7.0])
-
-
-def test_backward_writes_grad_on_leaves_only():
-    x = ad.Tensor(np.asarray([1.0, -2.0]), requires_grad=True)
-    c = ad.Tensor(np.asarray([3.0, 4.0]))
-    with ad.Tape():
-        y = mul(x, c)
-        loss = weighted_total(mul(y, y))
-        ad.backward(loss)
-    assert y.requires_grad and y.grad is None and loss.grad is None
-    assert c.grad is None
-    np.testing.assert_array_equal(x.grad, 2.0 * x.data * c.data**2)
-
-
-def test_backward_accumulates_into_existing_grad():
-    x = ad.Tensor(np.asarray([2.0]), requires_grad=True)
-    for _ in range(2):
-        with ad.Tape():
-            ad.backward(weighted_total(mul(x, x)))
-    np.testing.assert_allclose(x.grad, [8.0])
-
-
-def test_ops_outside_tape_record_nothing():
-    x = ad.Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
-    y = weighted_total(x)
-    assert y.item() == pytest.approx(3.0)
-    with pytest.raises(RuntimeError):
-        ad.backward(y)
-
-
-def test_nested_tapes_keep_records_separate():
-    x = ad.Tensor(np.asarray([2.0]), requires_grad=True)
-    with ad.Tape() as outer:
-        a = mul(x, x)
-        with ad.Tape() as inner:
-            b = mul(x, x)
-        assert len(inner.records) == 1
-        assert len(outer.records) == 1
-        inner.backward(b)
-    np.testing.assert_allclose(x.grad, [4.0])
-    assert a.requires_grad
-
-
-def test_backward_rejects_non_scalar():
-    x = ad.Tensor(np.asarray([1.0, 2.0]), requires_grad=True)
-    with ad.Tape():
-        y = mul(x, x)
-        with pytest.raises(ad.NotScalar):
-            ad.backward(y)
-
-
-# --- the ops the model records ----------------------------------------------
+# --- the blocks' backwards ---------------------------------------------------
 
 # five nodes; node 4 is isolated, node 1 receives from node 0 twice, and
 # nodes 0 to 3 are all destinations of cross edges
@@ -160,19 +72,21 @@ HEADS = np.array([0, 0, 1, 3, 2, 0])
 TAILS = np.array([1, 3, 0, 0, 0, 2])
 
 
-def _blocks(tensors, prefix="blk"):
-    return dict(zip((f"{prefix}.{k}" for k in ("w1", "b1", "w2", "b2")), tensors))
+def _blocks(arrays, prefix="blk"):
+    # Tensor shares a float64 array, so perturbing the array moves the weight
+    return {f"{prefix}.{k}": ad.Tensor(a) for k, a in zip(("w1", "b1", "w2", "b2"), arrays)}
 
 
-FUSED_OPS = {
+def _attend(h, p, theta, theta_p, att):
+    return attend(h, DST, SRC, p, theta, theta_p, att)
+
+
+BLOCKS = {
     "mlp": (
         lambda x, *weights: _mlp(_blocks(weights), "blk", x),
         [(5, 3), (4, 3), (4,), (2, 4), (2,)],
     ),
-    "attend": (
-        lambda h, p, theta, theta_p, att: attend(h, DST, SRC, p, theta, theta_p, att),
-        [(5, 2), (DST.size, 1), (3, 2), (3, 1), (9,)],
-    ),
+    "attend": (_attend, [(5, 2), (DST.size, 1), (3, 2), (3, 1), (9,)]),
     "triple_input": (
         lambda h2, p_kg: _triple_input(h2, p_kg, HEADS, TAILS),
         [(5, 1), (HEADS.size, 1)],
@@ -181,9 +95,9 @@ FUSED_OPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FUSED_OPS))
+@pytest.mark.parametrize("name", sorted(BLOCKS))
 def test_fused_op_gradients_match_central_differences(name):
-    op, shapes = FUSED_OPS[name]
+    block, shapes = BLOCKS[name]
     rng = np.random.default_rng(5)
     arrays = [rng.normal(size=shape) for shape in shapes]
     if name == "attend":
@@ -192,25 +106,12 @@ def test_fused_op_gradients_match_central_differences(name):
         stacked = np.concatenate([z[DST], z[SRC], p @ theta_p.T], axis=1)
         # the leaky rectifier's kink stays outside the difference window
         assert np.abs(stacked @ att).min() > 1e-3
-    weights = rng.normal(size=op(*(ad.Tensor(a) for a in arrays)).shape)
-    check_against_fd(lambda t: weighted_total(op(*t), weights), arrays)
+    check_against_fd(block, arrays, seed=6)
 
 
 def _attend_inputs(seed):
     rng = np.random.default_rng(seed)
-    shapes = FUSED_OPS["attend"][1]
-    return [rng.normal(size=shape) for shape in shapes]
-
-
-def _attend_wrt(index, arrays, weights):
-    """A loss over attend whose only differentiated input is arrays[index]."""
-
-    def build(tensors):
-        inputs = [ad.Tensor(a) for a in arrays]
-        inputs[index] = tensors[0]
-        return weighted_total(attend(inputs[0], DST, SRC, *inputs[1:]), weights)
-
-    return build
+    return [rng.normal(size=shape) for shape in BLOCKS["attend"][1]]
 
 
 def test_leaky_relu_gradient_away_from_kink():
@@ -221,17 +122,19 @@ def test_leaky_relu_gradient_away_from_kink():
     scores = np.concatenate([z[DST], z[SRC], p @ theta_p.T], axis=1) @ att
     assert (scores > 1e-3).any() and (scores < -1e-3).any()
     assert np.abs(scores).min() > 1e-3
-    weights = np.random.default_rng(8).normal(size=(5, 3))
-    check_against_fd(_attend_wrt(4, arrays, weights), [att])
+    check_against_fd(_attend, arrays, seed=8)
 
 
 def test_grouped_softmax_gradient():
     # edge encodings reach the output only through the per-destination
-    # softmax of the scores
+    # softmax of the scores; their gradients, and theta_p's, come from it
     arrays = _attend_inputs(9)
     weights = np.random.default_rng(10).normal(size=(5, 3))
-    check_against_fd(_attend_wrt(1, arrays, weights), [arrays[1]])
-    check_against_fd(_attend_wrt(3, arrays, weights), [arrays[3]])
+    _, g_p, _, g_theta_p, _ = block_gradients(_attend, arrays, weights)
+    loss = lambda: float((_attend(*arrays)[0] * weights).sum())  # noqa: E731
+    want_p, want_theta_p = central_difference(loss, [arrays[1], arrays[3]])
+    np.testing.assert_allclose(g_p, want_p, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(g_theta_p, want_theta_p, rtol=1e-6, atol=1e-8)
 
 
 def _uniform_attention(seed):
@@ -240,39 +143,35 @@ def _uniform_attention(seed):
     h, p, theta, theta_p, att = _attend_inputs(seed)
     alpha = 1.0 / np.bincount(DST, minlength=5)[DST]
     g = np.random.default_rng(seed + 1).normal(size=(5, 3))
-    tensors = [ad.Tensor(a, requires_grad=True) for a in (h, p, theta, theta_p, np.zeros_like(att))]
-    with ad.Tape():
-        out = attend(tensors[0], DST, SRC, *tensors[1:])
-        ad.backward(weighted_total(out, g))
-    return h, theta, alpha, g, out, tensors
+    out, backward = _attend(h, p, theta, theta_p, np.zeros_like(att))
+    return h, theta, alpha, g, out, backward(g)
 
 
 def test_scale_rows_gradient():
     # each message is its source's transformed embedding scaled by its edge's
     # weight, so theta collects weight * outer(g[dst], h[src]) per edge
-    h, theta, alpha, g, _, tensors = _uniform_attention(12)
+    h, theta, alpha, g, _, grads = _uniform_attention(12)
     want = np.zeros_like(theta)
     for d, s, a in zip(DST, SRC, alpha):
         want += a * np.outer(g[d], h[s])
-    np.testing.assert_allclose(tensors[2].grad, want, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(grads[2], want, rtol=1e-12, atol=1e-14)
 
 
 def test_segment_sum_gradient():
     # messages sum per destination, and a source collects one gradient per
     # outgoing edge: node 0 sends to node 1 twice
-    h, theta, alpha, g, out, tensors = _uniform_attention(14)
+    h, theta, alpha, g, out, grads = _uniform_attention(14)
     want_out = np.zeros((5, 3))
     want_grad = np.zeros_like(h)
     for d, s, a in zip(DST, SRC, alpha):
         want_out[d] += a * (theta @ h[s])
         want_grad[s] += a * (g[d] @ theta)
-    np.testing.assert_allclose(out.data, want_out, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(tensors[0].grad, want_grad, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(grads[0], want_grad, rtol=1e-12, atol=1e-14)
 
 
 def test_elu_gradient_away_from_kink():
-    x = away_from_kink(8)
-    check_against_fd(lambda t: weighted_total(ad.elu(t[0])), [x])
+    check_against_fd(_elu, [away_from_kink(8)])
 
 
 def test_grouped_softmax_normalizes_per_group():
@@ -281,39 +180,87 @@ def test_grouped_softmax_normalizes_per_group():
     rng = np.random.default_rng(11)
     h = np.tile(rng.normal(size=(1, 2)), (5, 1))
     theta = rng.normal(size=(3, 2))
-    out = attend(
-        ad.Tensor(h), DST, SRC, ad.Tensor(rng.normal(size=(DST.size, 1))),
-        ad.Tensor(theta), ad.Tensor(rng.normal(size=(3, 1))), ad.Tensor(rng.normal(size=9)),
+    out, _ = attend(
+        h, DST, SRC, rng.normal(size=(DST.size, 1)),
+        theta, rng.normal(size=(3, 1)), rng.normal(size=9),
     )
-    np.testing.assert_allclose(out.data, np.tile(h[0] @ theta.T, (5, 1)), rtol=1e-12)
+    np.testing.assert_allclose(out, np.tile(h[0] @ theta.T, (5, 1)), rtol=1e-12)
 
 
 def test_gather_rows_gradient_accumulates_repeats():
     # a node that heads or tails several candidates collects one gradient
     # per appearance; node 4 appears in none
-    h2 = ad.Tensor(RNG.normal(size=(5, 1)), requires_grad=True)
-    p_kg = ad.Tensor(RNG.normal(size=(HEADS.size, 1)), requires_grad=True)
-    with ad.Tape():
-        ad.backward(weighted_total(_triple_input(h2, p_kg, HEADS, TAILS)))
+    h2 = RNG.normal(size=(5, 1))
+    p_kg = RNG.normal(size=(HEADS.size, 1))
+    _, backward = _triple_input(h2, p_kg, HEADS, TAILS)
+    g_h2, g_kg = backward(np.ones((HEADS.size, 3)))
     counts = np.bincount(HEADS, minlength=5) + np.bincount(TAILS, minlength=5)
-    np.testing.assert_array_equal(h2.grad, counts[:, None].astype(float))
-    np.testing.assert_array_equal(p_kg.grad, np.ones((HEADS.size, 1)))
+    np.testing.assert_array_equal(g_h2, counts[:, None].astype(float))
+    np.testing.assert_array_equal(g_kg, np.ones((HEADS.size, 1)))
 
 
 def test_hstack_gradient():
     # the head, relation and tail columns route back to their own sources
     heads, tails = np.array([0, 1]), np.array([2, 3])
-    h2 = ad.Tensor(RNG.normal(size=(4, 1)), requires_grad=True)
-    p_kg = ad.Tensor(RNG.normal(size=(2, 1)), requires_grad=True)
-    columns = np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
-    with ad.Tape():
-        ad.backward(weighted_total(_triple_input(h2, p_kg, heads, tails), columns))
-    np.testing.assert_array_equal(h2.grad, [[1.0], [10.0], [3.0], [30.0]])
-    np.testing.assert_array_equal(p_kg.grad, [[2.0], [20.0]])
+    _, backward = _triple_input(RNG.normal(size=(4, 1)), RNG.normal(size=(2, 1)), heads, tails)
+    g_h2, g_kg = backward(np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]]))
+    np.testing.assert_array_equal(g_h2, [[1.0], [10.0], [3.0], [30.0]])
+    np.testing.assert_array_equal(g_kg, [[2.0], [20.0]])
 
 
 def test_shape_mismatch_raises():
-    x = ad.Tensor(np.zeros((2, 4)))
-    weights = [ad.Tensor(np.zeros(s)) for s in [(4, 3), (4,), (2, 4), (2,)]]
+    weights = [np.zeros(s) for s in [(4, 3), (4,), (2, 4), (2,)]]
     with pytest.raises(ad.ShapeMismatch):
-        _mlp(_blocks(weights), "blk", x)
+        _mlp(_blocks(weights), "blk", np.zeros((2, 4)))
+
+
+# --- the tape over forward and the loss --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def instance():
+    scenario = generate(ScenarioTemplate.ONCOMING_CYCLIST_CUT_IN, 3, 1)[0]
+    return to_instances(scenario)[0]
+
+
+def _step(params, ext):
+    with ad.Tape() as tape:
+        loss = bce_loss(forward(params, ext), np.asarray(ext.labels(), dtype=float))
+        tape.backward(loss)
+    assert len(tape.records) == 2
+    return loss
+
+
+def test_backward_accumulates_into_existing_grad(tiny_dims, instance):
+    # the first backward makes flat_grad when no zero_grad came before
+    params = ModelParams.initialize(tiny_dims, seed=1)
+    _step(params, instance)
+    once = params.flat_grad.copy()
+    assert np.any(once != 0.0)
+    _step(params, instance)
+    np.testing.assert_array_equal(params.flat_grad, 2.0 * once)
+    params.zero_grad()
+    assert not params.flat_grad.any()
+    _step(params, instance)
+    np.testing.assert_array_equal(params.flat_grad, once)
+
+
+def test_ops_outside_tape_record_nothing(tiny_dims, instance):
+    params = ModelParams.initialize(tiny_dims, seed=1)
+    probs = forward(params, instance)
+    labels = np.asarray(instance.labels(), dtype=float)
+    with ad.Tape() as tape:
+        loss = bce_loss(probs, labels)
+    # only the loss recorded, so the backward ends at the probabilities
+    assert len(tape.records) == 1
+    g = tape.backward(loss)
+    assert g.shape == probs.data.shape
+    assert params.flat_grad is None
+
+
+def test_backward_rejects_non_scalar(tiny_dims, instance):
+    params = ModelParams.initialize(tiny_dims, seed=1)
+    with ad.Tape() as tape:
+        probs = forward(params, instance)
+        with pytest.raises(ad.NotScalar):
+            tape.backward(probs)

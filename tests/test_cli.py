@@ -640,6 +640,53 @@ def test_predicted_graph_with_a_malformed_node_or_edge_exits_3(pipeline, tmp_pat
     assert not out.exists()
 
 
+def _ground_truth_records(corpus_path):
+    corpus, _ = read_corpus(corpus_path)
+    return [
+        {"scenario_id": scn.id, "graph": graph_to_json(ground_truth_graph(scn))}
+        for scn in corpus
+    ]
+
+
+def _simulate_predicted(pipeline, tmp_path, records):
+    path = tmp_path / "predicted.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "s.json"
+    code = main([
+        "simulate", "--data", pipeline["corpus"], "--predicted", str(path),
+        "--profiles", "Normal", "--out", str(out),
+    ])
+    return code, out
+
+
+def test_predicted_graph_of_no_scenario_of_the_corpus_exits_3(pipeline, tmp_path, capsys):
+    records = _ground_truth_records(pipeline["corpus"])
+    # a scenario without a line still runs against its own frame
+    code, out = _simulate_predicted(pipeline, tmp_path, records[:1])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["perturbed"] and report["episodes_per_profile"] == len(records)
+    out.unlink()
+    capsys.readouterr()
+    records[1]["scenario_id"] = "elsewhere-000"
+    code, out = _simulate_predicted(pipeline, tmp_path, records)
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert "elsewhere-000" in err["message"]
+    assert not out.exists()
+
+
+def test_predicted_graphs_that_name_one_scenario_twice_exit_3(pipeline, tmp_path, capsys):
+    records = _ground_truth_records(pipeline["corpus"])
+    code, out = _simulate_predicted(pipeline, tmp_path, records + records[2:3])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert records[2]["scenario_id"] in err["message"]
+    assert not out.exists()
+
+
 def test_predicted_graph_that_breaks_the_grammar_exits_3(pipeline, tmp_path, capsys):
     corpus, _ = read_corpus(pipeline["corpus"])
     records = [
@@ -889,6 +936,19 @@ _MALFORMED_INPUTS = {
     "dims-node-features-other": _edited_checkpoint(
         _set("dims", "node_features", value=12), ("perturb",)
     ),
+    "train-config-split-bool": _edited_checkpoint(
+        _set("train_config", "split", value=[True, 0.2, 0.1])
+    ),
+    "frame-index-fractional": _edited_corpus(_set("scenarios", 0, "frames", 0, "index", value=0.7)),
+    "scenario-seed-fractional": _edited_corpus(_set("scenarios", 0, "seed", value=77.9)),
+    "scenario-index-bool": _edited_corpus(_set("scenarios", 0, "index", value=True)),
+    "strip-direction-fractional": _edited_corpus(
+        _set("scenarios", 0, "layout", "strips", 0, "direction", value=0.5)
+    ),
+    "node-id-fractional": _edited_predicted(_set("nodes", 1, "id", value=1.6)),
+    "edge-head-fractional": _edited_predicted(_set("edges", 0, "head", value=0.5)),
+    "edge-tail-bool": _edited_predicted(_set("edges", 0, "tail", value=False)),
+    "graph-frame-fractional": _edited_predicted(_set("frame", value=1.5)),
 }
 #: the key a case's message names
 _NAMED_KEYS = {
@@ -897,6 +957,15 @@ _NAMED_KEYS = {
     "dims-width-fractional": "triple_hidden",
     "dims-width-bool": "mid_out",
     "dims-node-features-other": "node_features",
+    "train-config-split-bool": "split",
+    "frame-index-fractional": "index",
+    "scenario-seed-fractional": "seed",
+    "scenario-index-bool": "index",
+    "strip-direction-fractional": "direction",
+    "node-id-fractional": "id",
+    "edge-head-fractional": "head",
+    "edge-tail-bool": "tail",
+    "graph-frame-fractional": "frame",
 }
 
 

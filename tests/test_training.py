@@ -60,10 +60,9 @@ def test_bce_gradient_matches_finite_difference():
     rng = np.random.default_rng(1)
     probs = rng.uniform(0.05, 0.95, size=12)
     labels = (rng.random(12) < 0.4).astype(float)
-    x = ad.Tensor(probs.copy(), requires_grad=True)
-    with ad.Tape():
-        loss = bce_loss(x, labels, positive_weight=1.7)
-        ad.backward(loss)
+    with ad.Tape() as tape:
+        loss = bce_loss(ad.Tensor(probs.copy()), labels, positive_weight=1.7)
+    grad = tape.backward(loss)
     step = 1e-6
     for j in range(probs.size):
         bumped = probs.copy()
@@ -72,13 +71,13 @@ def test_bce_gradient_matches_finite_difference():
         bumped[j] -= 2 * step
         lo = bce_loss(bumped, labels, 1.7)
         fd = (hi - lo) / (2 * step)
-        assert x.grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert grad[j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_bce_rejects_empty_and_mismatched():
     with pytest.raises(EmptyBatch):
         bce_loss(np.array([]), np.array([]))
-    x = ad.Tensor(np.array([0.5, 0.5]), requires_grad=True)
+    x = ad.Tensor(np.array([0.5, 0.5]))
     with ad.Tape():
         with pytest.raises(ad.ShapeMismatch):
             bce_loss(x, np.array([1.0]))
@@ -118,7 +117,7 @@ def _step_loss(params, ext):
     with ad.Tape() as tape:
         loss = bce_loss(forward(params, ext), np.asarray(ext.labels(), dtype=float))
         tape.backward(loss)
-    return loss.item()
+    return float(loss.data)
 
 
 def test_adam_fit_equals_a_per_tensor_reference(tiny_dims):
@@ -136,8 +135,7 @@ def test_adam_fit_equals_a_per_tensor_reference(tiny_dims):
     for epoch in range(cfg.epochs):
         losses = []
         for idx in rng.permutation(len(train_insts)):
-            for _, t in ref.items():
-                t.grad = None
+            ref.zero_grad()
             losses.append(_step_loss(ref, train_insts[idx]))
             step += 1
             b1t = 1.0 - _Adam.beta1**step
@@ -162,7 +160,7 @@ def test_adam_fit_equals_a_per_tensor_reference(tiny_dims):
 def test_every_parameter_gets_a_gradient_in_every_step(tiny_dims):
     # the flat optimizer steps every tensor; the per-tensor loop it replaced
     # skipped a tensor without a gradient, so the two agree only while every
-    # training step reaches every tensor
+    # training step reaches every tensor, which leaves it a nonzero gradient
     instances = [
         ext
         for template in ScenarioTemplate
@@ -171,10 +169,9 @@ def test_every_parameter_gets_a_gradient_in_every_step(tiny_dims):
     ]
     params = ModelParams.initialize(tiny_dims, seed=0)
     for ext in instances:
-        for _, t in params.items():
-            t.grad = None
+        params.zero_grad()
         _step_loss(params, ext)
-        assert [name for name, t in params.items() if t.grad is None] == []
+        assert [name for name, t in params.items() if not t.grad.any()] == []
 
 
 def test_zero_learning_rate_leaves_params_unchanged(tiny_dims):
