@@ -206,14 +206,13 @@ def _settings(cfg: dict, settings: type, what: str):
 
 def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
     """(parameters, log, instance count, scenario count) of training on the
-    corpus at ``data``.  The corpus is dropped once its instances are built,
-    and the instances on return, before the checkpoint is written."""
+    corpus at ``data``.  The instances, which hold their scenarios to build
+    a scene graph on demand, are dropped on return, before the checkpoint is
+    written."""
     corpus, _ = scenarios.read_corpus(data)
-    n_scenarios = len(corpus)
     instances = scenarios.corpus_instances(corpus)
-    del corpus
     params, log = train(instances, tc, dims)
-    return params, log, len(instances), n_scenarios
+    return params, log, len(instances), len(corpus)
 
 
 def cmd_train(args, cfg: dict) -> int:

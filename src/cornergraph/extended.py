@@ -6,36 +6,49 @@ its node-category tuple, built once per tuple and shared, plus one label and
 one probability array aligned with the table's rows.  Labels mark which
 candidates appear in the ground-truth corner-case graph; model probabilities
 attach the same way, and decoding turns probabilities back into a graph.
+
+The base graph's own edges, as the model attends over them, are held as
+arrays too (``GraphArrays``), so an instance built from a frame's edge rows
+needs no graph objects until something reads its ``base``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import (
     DISTANCE_RELATIONS,
     ActorCategory,
+    AgentState,
     Edge,
     LICENSED_TRIPLES,
+    LightState,
     RELATION_ORDINAL,
+    RELATIONS,
     RelationCategory,
     SceneGraph,
 )
 
-#: relations by ordinal: ``RELATIONS[RELATION_ORDINAL[r]] is r``
-RELATIONS = tuple(RelationCategory)
-
 #: categories by ordinal, the index a table's ``categories`` holds
 CATEGORY_ORDINAL = {cat: i for i, cat in enumerate(ActorCategory)}
+
+#: speed, in m/s, at which the speed feature saturates at 1
+SPEED_SCALE = 30.0
+
+_LIGHT_SCALAR = {LightState.RED: 0.0, LightState.YELLOW: 0.5, LightState.GREEN: 1.0}
+_SELF_ORDINAL = RELATION_ORDINAL[RelationCategory.SELF_STATE]
 
 
 class NodeMismatch(ValueError):
     pass
+
+
+NODE_MISMATCH = "base and ground-truth graphs disagree on nodes"
 
 
 class MissingPredictions(ValueError):
@@ -127,6 +140,96 @@ def candidate_table(categories: tuple) -> CandidateTable:
     return CandidateTable.of(categories, rows)
 
 
+def speed_feature(state: AgentState | None) -> float:
+    """Speed normalized to [0, 1]; zero without a velocity."""
+    if state is None or state.velocity is None:
+        return 0.0
+    return min(state.speed / SPEED_SCALE, 1.0)
+
+
+def state_scalar(state: AgentState | None) -> float:
+    """Braking flag for vehicles, light phase for traffic lights, zero
+    otherwise."""
+    if state is None:
+        return 0.0
+    if state.braking is not None:
+        return 1.0 if state.braking else 0.0
+    if state.light_state is not None:
+        return _LIGHT_SCALAR[state.light_state]
+    return 0.0
+
+
+class GraphArrays(NamedTuple):
+    """A base graph's model inputs besides its candidate table, as read-only
+    arrays: node speeds, and the attention edges in (dst, src, relation)
+    order.  An edge (head -> tail) of the graph is the attention edge
+    tail <- head; each node without a self-state edge gets a synthetic
+    self-loop, so the self term of the attention is always defined."""
+
+    speeds: np.ndarray  # (n,) float64, ``speed_feature`` per node
+    dst: np.ndarray  # (m,) int64
+    src: np.ndarray  # (m,) int64
+    ordinals: np.ndarray  # (m,) int64 relation ordinals
+    scalars: np.ndarray  # (m,) float64, ``state_scalar`` of self-edges, zero elsewhere
+
+
+def graph_arrays(edges: list, states: list) -> list:
+    """The ``GraphArrays`` of several graphs, given each graph's edge rows
+    ``(head, tail, relation ordinal)`` and the states of its nodes (None for
+    a node without one).  The graphs' node ids are shifted apart, so one
+    stable sort puts the attention edges of all of them in order at once;
+    each graph's arrays are read-only views of the shared ones."""
+    node_at = np.cumsum([0] + [len(s) for s in states], dtype=np.int64)
+    flat_states = list(chain.from_iterable(states))
+    speeds = _readonly(np.array([speed_feature(s) for s in flat_states], dtype=np.float64))
+    node_scalars = np.array([state_scalar(s) for s in flat_states], dtype=np.float64)
+
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(edges)), np.int64).reshape(-1, 3)
+    shift = np.repeat(node_at[:-1], [len(e) for e in edges])
+    heads, tails, ordinals = rows[:, 0] + shift, rows[:, 1] + shift, rows[:, 2]
+    is_self = ordinals == _SELF_ORDINAL
+    # the self term of each node without a self-state edge
+    lone = np.ones(node_at[-1], dtype=bool)
+    lone[heads[is_self]] = False
+    loops = np.flatnonzero(lone)
+    dst = np.concatenate([tails, loops])
+    src = np.concatenate([heads, loops])
+    ordinals = np.concatenate([ordinals, np.full(loops.shape, _SELF_ORDINAL)])
+    scalars = np.concatenate([np.where(is_self, node_scalars[heads], 0.0), np.zeros(loops.shape)])
+
+    order = np.lexsort((ordinals, src, dst))
+    dst, src, ordinals, scalars = dst[order], src[order], ordinals[order], scalars[order]
+    edge_at = np.searchsorted(dst, node_at)
+    shift = np.repeat(node_at[:-1], np.diff(edge_at))
+    columns = [_readonly(c) for c in (dst - shift, src - shift, ordinals, scalars)]
+    node_at, edge_at = node_at.tolist(), edge_at.tolist()
+    return [
+        GraphArrays(speeds[n0:n1], *(c[e0:e1] for c in columns))
+        for n0, n1, e0, e1 in zip(node_at, node_at[1:], edge_at, edge_at[1:])
+    ]
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def instance_arrays(instances: Sequence["ExtendedGraph"]) -> list:
+    """The ``GraphArrays`` of each instance.  Those of instances constructed
+    from a base graph are derived from their graphs' edges on the first
+    request, all in one ``graph_arrays`` call, and kept."""
+    pending = [ext for ext in instances if ext._arrays is None]
+    if pending:
+        graphs = [ext.base for ext in pending]
+        derived = graph_arrays(
+            [[e.key() for e in g.edges] for g in graphs],
+            [[node.state for node in g.nodes] for g in graphs],
+        )
+        for ext, arrays in zip(pending, derived):
+            ext._arrays = arrays
+    return [ext._arrays for ext in instances]
+
+
 class ExtendedGraph:
     """A base (regular-frame) graph with candidate cross-edges over its nodes.
 
@@ -137,9 +240,25 @@ class ExtendedGraph:
     the arrays on each read; constructing from ``candidates`` instead turns
     them into arrays, and then every candidate carries a label or none does,
     and likewise a probability.
+
+    ``arrays`` holds the base graph's node speeds and attention edges, and
+    ``frame_index`` its frame.  Constructed from a base graph, the instance
+    derives its arrays on the first request (``instance_arrays``); made by
+    ``from_arrays``, it holds the arrays and only a maker of its base graph,
+    which builds it on the first read of ``base``.
     """
 
-    __slots__ = ("base", "target_frame", "scenario_id", "table", "label_array", "prob_array")
+    __slots__ = (
+        "_base",
+        "_make_base",
+        "_arrays",
+        "frame_index",
+        "target_frame",
+        "scenario_id",
+        "table",
+        "label_array",
+        "prob_array",
+    )
 
     def __init__(
         self,
@@ -164,19 +283,55 @@ class ExtendedGraph:
             )
         if table is None:
             raise TypeError("an extended graph needs candidates or a candidate table")
-        self.base = base
+        self._base = base
+        self._make_base = None
+        self._arrays = None
+        self.frame_index = base.frame_index
         self.target_frame = target_frame
         self.scenario_id = scenario_id
         self.table = table
         self.label_array = label_array
         self.prob_array = prob_array
 
-    def _replace(self, **arrays) -> "ExtendedGraph":
-        fields = {"table": self.table, "label_array": self.label_array, "prob_array": self.prob_array}
-        fields.update(arrays)
-        return ExtendedGraph(
-            self.base, target_frame=self.target_frame, scenario_id=self.scenario_id, **fields
-        )
+    @classmethod
+    def from_arrays(
+        cls,
+        make_base: Callable[[], SceneGraph],
+        frame_index: int,
+        arrays: GraphArrays,
+        table: CandidateTable,
+        label_array: np.ndarray | None,
+        target_frame: int,
+        scenario_id: str,
+    ) -> "ExtendedGraph":
+        """An instance of the base graph that ``make_base()`` builds, given
+        that graph's frame index, arrays and candidate table."""
+        ext = object.__new__(cls)
+        ext._base, ext._make_base = None, make_base
+        ext._arrays, ext.frame_index, ext.table = arrays, frame_index, table
+        ext.target_frame, ext.scenario_id = target_frame, scenario_id
+        ext.label_array, ext.prob_array = label_array, None
+        return ext
+
+    def _replace(self, **fields) -> "ExtendedGraph":
+        ext = object.__new__(ExtendedGraph)
+        for name in self.__slots__:
+            setattr(ext, name, fields[name] if name in fields else getattr(self, name))
+        return ext
+
+    @property
+    def arrays(self) -> GraphArrays:
+        """The base graph's ``GraphArrays``."""
+        (arrays,) = instance_arrays([self])
+        return arrays
+
+    @property
+    def base(self) -> SceneGraph:
+        """The base graph, built on the first read when the instance was
+        made ``from_arrays``."""
+        if self._base is None:
+            self._base = self._make_base()
+        return self._base
 
     @property
     def candidates(self) -> tuple:
@@ -229,38 +384,36 @@ def extend(graph: SceneGraph, target_frame: int, scenario_id: str = "") -> Exten
     )
 
 
-def label_candidates(
-    ext: ExtendedGraph, ground_truth: SceneGraph, labels=None
-) -> ExtendedGraph:
+def label_candidates(ext: ExtendedGraph, ground_truth: SceneGraph) -> ExtendedGraph:
     """Label each candidate 1 iff it appears in the ground-truth graph.
 
     The two graphs must describe the same actors: node (id, category) pairs
-    must match exactly.  ``labels``, when given, is the label array of
-    another instance labelled against the same ground truth; it is shared,
-    not computed again, since the same nodes give the same candidate table.
+    must match exactly.
     """
     base_nodes = [(n.id, n.category) for n in ext.base.nodes]
     gt_nodes = [(n.id, n.category) for n in ground_truth.nodes]
     if base_nodes != gt_nodes:
-        raise NodeMismatch("base and ground-truth graphs disagree on nodes")
-    if labels is not None:
-        return ext._replace(label_array=labels)
-    n = len(gt_nodes)
+        raise NodeMismatch(NODE_MISMATCH)
+    labels = truth_labels(ext.table, [e.key() for e in ground_truth.edges])
+    return ext._replace(label_array=labels)
+
+
+def truth_labels(table: CandidateTable, truth_rows) -> np.ndarray:
+    """Read-only labels of the table's candidates: 1 iff the candidate is
+    among the ground truth's ``(head, tail, relation ordinal)`` edge rows."""
+    n = len(table.categories)
     stride = len(RELATIONS)
-    self_state = RelationCategory.SELF_STATE
     # an edge whose ends are not node positions matches no candidate
     present = [
-        (e.head * n + e.tail) * stride + RELATION_ORDINAL[e.relation]
-        for e in ground_truth.edges
-        if e.relation is not self_state and 0 <= e.head < n and 0 <= e.tail < n
+        (head * n + tail) * stride + ordinal
+        for head, tail, ordinal in truth_rows
+        if ordinal != _SELF_ORDINAL and 0 <= head < n and 0 <= tail < n
     ]
     # membership of every candidate key at once, through an indicator over
     # all n * n * stride keys
     indicator = np.zeros(n * n * stride, dtype=np.int64)
     indicator[present] = 1
-    labels = indicator[ext.table.keys]
-    labels.flags.writeable = False
-    return ext._replace(label_array=labels)
+    return _readonly(indicator[table.keys])
 
 
 def attach_predictions(ext: ExtendedGraph, probs: Sequence[float]) -> ExtendedGraph:

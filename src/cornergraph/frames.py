@@ -2,8 +2,9 @@
 
 A road is a bundle of parallel strips (lanes, pavement, shoulder) running
 along the +y axis, each with a signed lateral center and a width.  A frame
-places actors (ego first) onto that layout; ``build_scene_graph`` turns the
-frame into a typed graph.
+places actors (ego first) onto that layout; ``frame_rows`` computes the
+edges of the frame's typed graph as rows, and ``build_scene_graph`` makes the
+graph itself from them.
 
 Node ordering contract, relied on by realization and by label alignment:
 actors in placement order (ego is node 0), then strips in layout order, then
@@ -24,13 +25,15 @@ from .graphs import (
     Edge,
     Node,
     PLACEABLE_CATEGORIES,
+    RELATION_ORDINAL,
+    RELATIONS,
     RelationCategory,
     SceneGraph,
     SchemaError,
     SELF_STATE_CATEGORIES,
     decoder,
+    json_float,
     json_int,
-    sort_edges,
 )
 from .relations import discretize_distance, discretize_relative_position, relative_angle
 
@@ -96,8 +99,8 @@ class RoadLayout:
         strips = tuple(
             Strip(
                 category=ActorCategory(raw["category"]),
-                center=float(raw["center"]),
-                width=float(raw["width"]),
+                center=json_float(raw, "center"),
+                width=json_float(raw, "width"),
                 direction=json_int(raw, "direction", 0),
             )
             for raw in obj["strips"]
@@ -142,93 +145,74 @@ def road_node_id(frame: FrameSnapshot) -> int:
     return len(frame.actors) + len(frame.layout.strips)
 
 
-def build_scene_graph(frame: FrameSnapshot) -> SceneGraph:
-    """Extract the typed graph for one frame.
+_SELF = RELATION_ORDINAL[RelationCategory.SELF_STATE]
+_IS_IN = RELATION_ORDINAL[RelationCategory.IS_IN]
 
-    Emits, in canonical edge order: a SelfState edge per stateful actor, one
-    containment edge per actor, a separation edge and a bearing edge from each
-    moving adversary to the ego, an ego separation edge to each static object,
-    and a containment edge from each strip to the road.
-    """
-    if not frame.actors:
+
+def frame_rows(frame: FrameSnapshot) -> list:
+    """``(head, tail, relation ordinal)`` of each edge of the frame's scene
+    graph, in the order the edges are made: a SelfState edge per stateful
+    actor, one containment edge per actor, a separation edge and a bearing
+    edge from each moving adversary to the ego, an ego separation edge to
+    each static object, and a containment edge from each strip to the road.
+    Raises ``InvalidFrame`` or ``DegenerateGeometry`` for a frame that
+    describes no scene."""
+    actors = frame.actors
+    if not actors:
         raise InvalidFrame("frame has no actors")
-    if frame.actors[0].category is not ActorCategory.EGO:
+    if actors[0].category is not ActorCategory.EGO:
         raise InvalidFrame("first actor must be the Ego")
-    if sum(1 for a in frame.actors if a.category is ActorCategory.EGO) != 1:
+    if [a.category for a in actors].count(ActorCategory.EGO) != 1:
         raise InvalidFrame("frame must contain exactly one Ego")
 
     layout = frame.layout
-    nodes = []
-    for i, actor in enumerate(frame.actors):
-        nodes.append(Node(id=i, category=actor.category, state=actor.state))
-    for j, strip in enumerate(layout.strips):
-        nodes.append(Node(id=strip_node_id(frame, j), category=strip.category))
-    road_id = road_node_id(frame)
-    nodes.append(Node(id=road_id, category=ActorCategory.ROAD))
-
-    ego = frame.ego
-    ego_speed = ego.state.speed
-    edges = []
-
-    for i, actor in enumerate(frame.actors):
+    n_actors = len(actors)
+    ego = actors[0].state
+    ego_speed = ego.speed
+    rows = []
+    for i, actor in enumerate(actors):
+        state = actor.state
         if actor.category in SELF_STATE_CATEGORIES:
-            edges.append(Edge(head=i, relation=RelationCategory.SELF_STATE, tail=i))
-        strip_idx = layout.strip_index_at(actor.state.location[0])
+            rows.append((i, i, _SELF))
+        strip_idx = layout.strip_index_at(state.location[0])
         if strip_idx is None:
             raise InvalidFrame(
-                f"{actor.category.value} at x={actor.state.location[0]:.2f} "
+                f"{actor.category.value} at x={state.location[0]:.2f} "
                 "lies in no road element"
             )
-        edges.append(
-            Edge(
-                head=i,
-                relation=RelationCategory.IS_IN,
-                tail=strip_node_id(frame, strip_idx),
-            )
-        )
+        rows.append((i, n_actors + strip_idx, _IS_IN))
         if i == 0:
             continue
-        dx = actor.state.location[0] - ego.state.location[0]
-        dy = actor.state.location[1] - ego.state.location[1]
+        dx = state.location[0] - ego.location[0]
+        dy = state.location[1] - ego.location[1]
         separation = math.hypot(dx, dy)
         if actor.category in ADVERSARY_CATEGORIES:
-            edges.append(
-                Edge(
-                    head=i,
-                    relation=discretize_distance(separation, ego_speed),
-                    tail=0,
-                )
-            )
-            edges.append(
-                Edge(
-                    head=i,
-                    relation=discretize_relative_position(
-                        relative_angle(actor.state, ego.state)
-                    ),
-                    tail=0,
-                )
-            )
+            distance = discretize_distance(separation, ego_speed)
+            bearing = discretize_relative_position(relative_angle(state, ego))
+            rows.append((i, 0, RELATION_ORDINAL[distance]))
+            rows.append((i, 0, RELATION_ORDINAL[bearing]))
         elif actor.category is ActorCategory.OBJECT:
-            edges.append(
-                Edge(
-                    head=0,
-                    relation=discretize_distance(separation, ego_speed),
-                    tail=i,
-                )
-            )
+            rows.append((0, i, RELATION_ORDINAL[discretize_distance(separation, ego_speed)]))
 
-    for j in range(len(layout.strips)):
-        edges.append(
-            Edge(
-                head=strip_node_id(frame, j),
-                relation=RelationCategory.IS_IN,
-                tail=road_id,
-            )
-        )
+    road_id = n_actors + len(layout.strips)
+    rows += [(n_actors + j, road_id, _IS_IN) for j in range(len(layout.strips))]
+    return rows
 
+
+def build_scene_graph(frame: FrameSnapshot) -> SceneGraph:
+    """The typed graph of one frame: its nodes, and the edges of
+    ``frame_rows`` in canonical (head, tail, relation) order."""
+    rows = frame_rows(frame)
+    nodes = [Node(id=i, category=a.category, state=a.state) for i, a in enumerate(frame.actors)]
+    nodes.extend(
+        Node(id=strip_node_id(frame, j), category=strip.category)
+        for j, strip in enumerate(frame.layout.strips)
+    )
+    nodes.append(Node(id=road_node_id(frame), category=ActorCategory.ROAD))
+    rows.sort()
     return SceneGraph(
         nodes=tuple(nodes),
-        edges=sort_edges(edges),
+        edges=tuple(Edge(head=h, relation=RELATIONS[o], tail=t) for h, t, o in rows),
         frame_index=frame.index,
         is_corner_case=frame.is_corner_case,
     )

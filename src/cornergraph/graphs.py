@@ -58,6 +58,9 @@ class LightState(str, Enum):
 #: position of each relation in the canonical sort order
 RELATION_ORDINAL = {rel: i for i, rel in enumerate(RelationCategory)}
 
+#: relations by ordinal: ``RELATIONS[RELATION_ORDINAL[r]] is r``
+RELATIONS = tuple(RelationCategory)
+
 DISTANCE_RELATIONS = (RelationCategory.SAFE_DISTANCE, RelationCategory.UNSAFE_DISTANCE)
 QUADRANT_RELATIONS = (
     RelationCategory.IN_FRONT_OF,
@@ -368,6 +371,44 @@ def json_int(obj: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+#: the Python types of a JSON number; a bool is an int to Python, but not a
+#: number to JSON
+_NUMBER_TYPES = (int, float)
+
+
+def json_float(obj: dict, key: str, default: float | None = None) -> float:
+    """``obj[key]`` as a float, which must be a JSON number: a bool or a
+    string is not one.  ``default``, when given, stands in for a missing
+    key."""
+    if default is not None and key not in obj:
+        return default
+    value = obj[key]
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"{key} {value!r} is not a number")
+    return float(value)
+
+
+def _json_pair(obj: dict, key: str) -> tuple:
+    """The first two entries of the list ``obj[key]``, each a JSON number,
+    as a pair of floats."""
+    value = obj[key]
+    x, y = value[0], value[1]
+    if type(x) not in _NUMBER_TYPES or type(y) not in _NUMBER_TYPES:
+        raise TypeError(f"{key} {value!r} is not a pair of numbers")
+    return (float(x), float(y))
+
+
+def json_bool(obj: dict, key: str, default: bool | None = None) -> bool:
+    """``obj[key]``, which must be a JSON bool: a string or a number is not
+    one.  ``default``, when given, stands in for a missing key."""
+    if default is not None and key not in obj:
+        return default
+    value = obj[key]
+    if type(value) is not bool:
+        raise TypeError(f"{key} {value!r} is not a bool")
+    return value
+
+
 @decoder("{}")
 def read_json(path):
     """The JSON value in the file at ``path``."""
@@ -401,9 +442,8 @@ _GRAPH_KEYS = {"frame", "corner_case", "nodes", "edges"}
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where} must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in {where}")
+    if not allowed.issuperset(obj):
+        raise SchemaError(f"unknown field(s) {sorted(set(obj) - allowed)} in {where}")
 
 
 def state_to_json(state: AgentState) -> dict:
@@ -423,16 +463,11 @@ def state_to_json(state: AgentState) -> dict:
 @decoder("state")
 def state_from_json(obj: dict) -> AgentState:
     _reject_unknown(obj, _STATE_KEYS, "state")
-    loc = obj["location"]
-    velocity = None
-    if "velocity" in obj:
-        vel = obj["velocity"]
-        velocity = (float(vel[0]), float(vel[1]))
     return AgentState(
-        location=(float(loc[0]), float(loc[1])),
-        heading=float(obj.get("heading", 0.0)),
-        velocity=velocity,
-        braking=bool(obj["braking"]) if "braking" in obj else None,
+        location=_json_pair(obj, "location"),
+        heading=json_float(obj, "heading", 0.0),
+        velocity=_json_pair(obj, "velocity") if "velocity" in obj else None,
+        braking=json_bool(obj, "braking") if "braking" in obj else None,
         light_state=LightState(obj["light_state"]) if "light_state" in obj else None,
     )
 
@@ -480,7 +515,7 @@ def graph_from_json(obj: dict) -> SceneGraph:
         nodes=tuple(nodes),
         edges=tuple(edges),
         frame_index=json_int(obj, "frame", 0),
-        is_corner_case=bool(obj.get("corner_case", False)),
+        is_corner_case=json_bool(obj, "corner_case", False),
     )
 
 

@@ -113,6 +113,13 @@ def _curve(preds, y):
     return thresholds, tp, fp
 
 
+def _last_argmax(values: np.ndarray) -> int:
+    """Index of the last maximum: a scan from the lowest threshold up that
+    moves only on a strictly greater value, so ties keep the lower
+    threshold."""
+    return len(values) - 1 - int(np.argmax(values[::-1]))
+
+
 def sweep(predictions, labels) -> EvalReport:
     preds, y = _validate(predictions, labels)
     n_pos = int(y.sum())
@@ -124,21 +131,14 @@ def sweep(predictions, labels) -> EvalReport:
     fpr = fp / n_neg
 
     j = tpr - fpr
-    # scan from the lowest threshold up; strict > keeps the lower tie
-    best_j_at = len(j) - 1
-    for i in range(len(j) - 2, -1, -1):
-        if j[i] > j[best_j_at]:
-            best_j_at = i
+    best_j_at = _last_argmax(j)
     youden_threshold = float(thresholds[best_j_at])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         denom = 2 * tp + fp + fn
         f1_all = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
         prec_all = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 1.0)
-    best_f1_at = len(f1_all) - 1
-    for i in range(len(f1_all) - 2, -1, -1):
-        if f1_all[i] > f1_all[best_f1_at]:
-            best_f1_at = i
+    best_f1_at = _last_argmax(f1_all)
 
     ctp, cfp = int(tp[best_j_at]), int(fp[best_j_at])
     cfn, ctn = n_pos - ctp, n_neg - cfp
@@ -146,14 +146,14 @@ def sweep(predictions, labels) -> EvalReport:
     recall = ctp / n_pos
     f1 = 2 * ctp / (2 * ctp + cfp + cfn) if 2 * ctp + cfp + cfn > 0 else 0.0
 
+    thresholds, fpr, tpr = thresholds.tolist(), fpr.tolist(), tpr.tolist()
     # duplicate consecutive points would add zero-width trapezoids; drop them
     roc_rows = []
     prev = None
-    for i in range(len(thresholds)):
-        point = (float(fpr[i]), float(tpr[i]))
+    for threshold, point in zip(thresholds, zip(fpr, tpr)):
         if point == prev:
             continue
-        roc_rows.append((float(thresholds[i]), point[0], point[1]))
+        roc_rows.append((threshold, *point))
         prev = point
     xs = [r[1] for r in roc_rows]
     ys = [r[2] for r in roc_rows]
@@ -163,10 +163,7 @@ def sweep(predictions, labels) -> EvalReport:
             for i in range(len(xs) - 1)
         )
     )
-    pr_rows = [
-        (float(thresholds[i]), float(tpr[i]), float(prec_all[i]))
-        for i in range(len(thresholds))
-    ]
+    pr_rows = list(zip(thresholds, tpr, prec_all.tolist()))
 
     btp, bfp = int(tp[best_f1_at]), int(fp[best_f1_at])
     best_f1_precision = btp / (btp + bfp) if btp + bfp > 0 else 0.0
@@ -181,7 +178,7 @@ def sweep(predictions, labels) -> EvalReport:
         recall=recall,
         f1=f1,
         best_f1=float(f1_all[best_f1_at]),
-        best_f1_threshold=float(thresholds[best_f1_at]),
+        best_f1_threshold=thresholds[best_f1_at],
         best_f1_precision=best_f1_precision,
         best_f1_recall=best_f1_recall,
         tp=ctp,

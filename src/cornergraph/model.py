@@ -9,7 +9,7 @@ squashed to a probability.
 Message direction: a graph edge (head -> tail) delivers the head's embedding
 to the tail, so a node aggregates over its incoming edges.  Every node needs
 a self-edge for the self term of the aggregation; nodes without a recorded
-state get a synthetic self-loop when a batch is compiled.
+state get a synthetic self-loop in the instance's ``GraphArrays``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import MissingSelfEdge, ShapeMismatch, Tensor, active_tape
-from .extended import CATEGORY_ORDINAL, RELATIONS, ExtendedGraph
+from .extended import (
+    CATEGORY_ORDINAL,
+    RELATIONS,
+    ExtendedGraph,
+    instance_arrays,
+    speed_feature,
+    state_scalar,
+)
 from .graphs import (
     ActorCategory,
-    LightState,
     Node,
     RELATION_ORDINAL,
     RelationCategory,
-    SceneGraph,
     SchemaError,
     decoder,
     json_int,
@@ -37,14 +42,10 @@ from .graphs import (
     write_json,
 )
 
-SPEED_SCALE = 30.0
 NODE_FEATURE_SIZE = 11
 EDGE_FEATURE_SIZE = 9
 FEATURE_LAYOUT_ID = "node[cat10,speed1]-edge[rel7,self1,state1]-v1"
 CHECKPOINT_SCHEMA_VERSION = 1
-
-_LIGHT_SCALAR = {LightState.RED: 0.0, LightState.YELLOW: 0.5, LightState.GREEN: 1.0}
-_SELF_ORDINAL = RELATION_ORDINAL[RelationCategory.SELF_STATE]
 
 
 class SchemaVersionMismatch(SchemaError):
@@ -52,32 +53,11 @@ class SchemaVersionMismatch(SchemaError):
     layout, or a malformed one."""
 
 
-def _speed_feature(node: Node) -> float:
-    """Speed normalized to [0, 1]; zero without a velocity."""
-    state = node.state
-    if state is None or state.velocity is None:
-        return 0.0
-    return min(state.speed / SPEED_SCALE, 1.0)
-
-
-def _state_scalar(node: Node) -> float:
-    """Braking flag for vehicles, light phase for traffic lights, zero
-    otherwise."""
-    state = node.state
-    if state is None:
-        return 0.0
-    if state.braking is not None:
-        return 1.0 if state.braking else 0.0
-    if state.light_state is not None:
-        return _LIGHT_SCALAR[state.light_state]
-    return 0.0
-
-
 def node_feature_vector(node: Node) -> np.ndarray:
     """10-way category one-hot plus speed normalized to [0, 1]."""
     out = np.zeros(NODE_FEATURE_SIZE)
     out[CATEGORY_ORDINAL[node.category]] = 1.0
-    out[10] = _speed_feature(node)
+    out[10] = speed_feature(node.state)
     return out
 
 
@@ -95,7 +75,7 @@ def self_edge_feature(node: Node) -> np.ndarray:
     for traffic lights, zero otherwise."""
     out = np.zeros(EDGE_FEATURE_SIZE)
     out[7] = 1.0
-    out[8] = _state_scalar(node)
+    out[8] = state_scalar(node.state)
     return out
 
 
@@ -111,39 +91,6 @@ _EDGE_ROWS = np.stack(
         for relation in RELATIONS
     ]
 )
-
-
-def _attention_rows(graph: SceneGraph, offset: int) -> list:
-    """``(dst, src, relation ordinal, state scalar)`` of each attention edge
-    of ``graph``, node ids shifted by ``offset``: one per graph edge, and a
-    synthetic self-loop for each node without a self-state edge, so the self
-    term is always defined."""
-    rows = []
-    with_self = set()
-    for edge in graph.edges:
-        if edge.relation is RelationCategory.SELF_STATE:
-            with_self.add(edge.head)
-            scalar = _state_scalar(graph.nodes[edge.head])
-            rows.append((edge.tail + offset, edge.head + offset, _SELF_ORDINAL, scalar))
-        else:
-            rows.append(
-                (edge.tail + offset, edge.head + offset, RELATION_ORDINAL[edge.relation], 0.0)
-            )
-    rows.extend(
-        (node.id + offset, node.id + offset, _SELF_ORDINAL, 0.0)
-        for node in graph.nodes
-        if node.id not in with_self
-    )
-    return rows
-
-
-def _attention_arrays(rows: list):
-    """Destination ids, source ids, relation ordinals and state scalars of
-    attention rows, in canonical (dst, src, relation) order.  The sort is
-    stable, so rows with equal keys keep their order."""
-    dst, src, ordinals, scalars = (np.array(column) for column in zip(*rows))
-    order = np.lexsort((ordinals, src, dst))
-    return dst[order], src[order], ordinals[order], scalars[order]
 
 
 def _edge_features(ordinals: np.ndarray, scalars: np.ndarray) -> np.ndarray:
@@ -380,27 +327,23 @@ class GraphBatch:
 
 def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
     """Compile extended graphs into one ``GraphBatch``: concatenate each
-    graph's candidate table and node arrays with its node offset, and put the
-    attention edges of all the graphs in order by one stable sort."""
-    rows, speeds, tables, offsets = [], [], [], []
-    offset = 0
-    for ext in instances:
-        graph = ext.base
-        rows += _attention_rows(graph, offset)
-        speeds += [_speed_feature(node) for node in graph.nodes]
-        tables.append(ext.table)
-        offsets.append(offset)
-        offset += len(graph.nodes)
-    dst, src, edge_ordinals, edge_scalars = _attention_arrays(rows)
+    graph's candidate table and arrays, its node ids shifted by its node
+    offset.  Each graph's attention edges are in (dst, src, relation) order
+    already, and the offsets keep them so across graphs."""
+    tables = [ext.table for ext in instances]
+    arrays = instance_arrays(instances)
+    nodes = [len(a.speeds) for a in arrays]
+    offsets = np.cumsum([0] + nodes[:-1], dtype=np.int64)
     counts = [len(t) for t in tables]
-    shift = np.repeat(np.array(offsets, dtype=np.int64), counts)
+    node_shift = np.repeat(offsets, [len(a.dst) for a in arrays])
+    shift = np.repeat(offsets, counts)
     return GraphBatch(
         categories=np.concatenate([t.categories for t in tables]),
-        speeds=np.array(speeds, dtype=np.float64),
-        dst=dst,
-        src=src,
-        edge_ordinals=edge_ordinals,
-        edge_scalars=edge_scalars,
+        speeds=np.concatenate([a.speeds for a in arrays]),
+        dst=np.concatenate([a.dst for a in arrays]) + node_shift,
+        src=np.concatenate([a.src for a in arrays]) + node_shift,
+        edge_ordinals=np.concatenate([a.ordinals for a in arrays]),
+        edge_scalars=np.concatenate([a.scalars for a in arrays]),
         kg_ordinals=np.concatenate([t.ordinals for t in tables]),
         heads=np.concatenate([t.heads for t in tables]) + shift,
         tails=np.concatenate([t.tails for t in tables]) + shift,

@@ -14,10 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .extended import extend, label_candidates
+from .extended import (
+    NODE_MISMATCH,
+    ExtendedGraph,
+    NodeMismatch,
+    candidate_table,
+    graph_arrays,
+    truth_labels,
+)
 from .frames import (
     FrameSnapshot,
     InvalidFrame,
@@ -25,6 +33,7 @@ from .frames import (
     RoadLayout,
     Strip,
     build_scene_graph,
+    frame_rows,
 )
 from .graphs import (
     BRAKING_CATEGORIES,
@@ -37,6 +46,7 @@ from .graphs import (
     SchemaError,
     _reject_unknown,
     decoder,
+    json_bool,
     json_int,
     read_json,
     state_from_json,
@@ -410,41 +420,82 @@ def generate_corpus(seed: int, count: int = 600) -> list:
     return out
 
 
-def frame_graph(scenario: Scenario, index: int) -> SceneGraph:
-    """The scene graph of the scenario's frame ``index``.  A frame that
-    describes no scene raises its ``InvalidFrame`` or ``DegenerateGeometry``
-    with the scenario id and the frame index in front of the message."""
+def _of_frame(fn, scenario: Scenario, index: int):
+    """``fn`` of the scenario's frame ``index``.  A frame that describes no
+    scene raises its ``InvalidFrame`` or ``DegenerateGeometry`` with the
+    scenario id and the frame index in front of the message."""
     try:
-        return build_scene_graph(scenario.frames[index])
+        return fn(scenario.frames[index])
     except (InvalidFrame, DegenerateGeometry) as err:
         raise type(err)(f"scenario {scenario.id}, frame {index}: {err}") from err
+
+
+def frame_graph(scenario: Scenario, index: int) -> SceneGraph:
+    """The scene graph of the scenario's frame ``index``."""
+    return _of_frame(build_scene_graph, scenario, index)
 
 
 def ground_truth_graph(scenario: Scenario) -> SceneGraph:
     return frame_graph(scenario, len(scenario.frames) - 1)
 
 
+def _node_states(frame: FrameSnapshot) -> list:
+    """The states of the frame graph's nodes: the actors' states, then none
+    for each strip and for the road."""
+    return [a.state for a in frame.actors] + [None] * (len(frame.layout.strips) + 1)
+
+
+def _node_categories(frame: FrameSnapshot) -> tuple:
+    return (
+        tuple(a.category for a in frame.actors)
+        + tuple(s.category for s in frame.layout.strips)
+        + (ActorCategory.ROAD,)
+    )
+
+
 def to_instances(scenario: Scenario) -> list:
-    """One labeled instance per regular frame, all sharing the terminal
-    frame's ground truth: every frame is labelled against it, and the first
-    frame's read-only label array serves them all."""
-    target = ground_truth_graph(scenario)
-    out = []
-    for index in range(len(scenario.frames) - 1):
-        ext = extend(
-            frame_graph(scenario, index),
-            target_frame=scenario.horizon,
-            scenario_id=scenario.id,
-        )
-        out.append(label_candidates(ext, target, out[0].label_array if out else None))
-    return out
+    """One labeled instance per regular frame of the scenario."""
+    return corpus_instances([scenario])
 
 
 def corpus_instances(scenarios) -> list:
-    out = []
+    """One labeled instance per regular frame of each scenario, in corpus
+    order, in one pass over the frames' edge rows.
+
+    The instances of a scenario all share its terminal frame's ground truth:
+    every frame's nodes must match the terminal frame's, so they share its
+    candidate table and one read-only label array.  The attention edges of
+    every frame are put in order by one sort (``graph_arrays``).  No scene
+    graph is built; each instance builds its own on the first read of its
+    ``base``.
+    """
+    sources, edges, states = [], [], []
     for scenario in scenarios:
-        out.extend(to_instances(scenario))
-    return out
+        last = len(scenario.frames) - 1
+        truth = _of_frame(frame_rows, scenario, last)
+        categories = _node_categories(scenario.frames[last])
+        for index in range(last):
+            edges.append(_of_frame(frame_rows, scenario, index))
+            frame = scenario.frames[index]
+            if _node_categories(frame) != categories:
+                raise NodeMismatch(NODE_MISMATCH)
+            states.append(_node_states(frame))
+        if last:
+            table = candidate_table(categories)
+            labels = truth_labels(table, truth)
+            sources += [(scenario, index, table, labels) for index in range(last)]
+    return [
+        ExtendedGraph.from_arrays(
+            partial(frame_graph, scenario, index),
+            frame_index=scenario.frames[index].index,
+            arrays=arrays,
+            table=table,
+            label_array=labels,
+            target_frame=len(scenario.frames) - 1,
+            scenario_id=scenario.id,
+        )
+        for (scenario, index, table, labels), arrays in zip(sources, graph_arrays(edges, states))
+    ]
 
 
 def positive_fraction(instances) -> float:
@@ -506,7 +557,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         frames.append(
             FrameSnapshot(
                 index=json_int(raw, "index"),
-                is_corner_case=bool(raw["corner_case"]),
+                is_corner_case=json_bool(raw, "corner_case"),
                 layout=layout,
                 actors=tuple(actors),
             )
@@ -540,4 +591,9 @@ def read_corpus(path) -> tuple:
     scenarios = [scenario_from_json(raw) for raw in obj["scenarios"]]
     if not scenarios:
         raise ValueError("the corpus holds no scenarios")
+    ids = set()
+    for scenario in scenarios:
+        if scenario.id in ids:
+            raise ValueError(f"the corpus holds scenario {scenario.id} more than once")
+        ids.add(scenario.id)
     return scenarios, obj.get("meta", {})

@@ -205,14 +205,14 @@ def _check_labeled(dataset: Sequence[ExtendedGraph]) -> None:
     for ext in dataset:
         if ext.label_array is None:
             raise UnlabeledInstance(
-                f"instance {ext.scenario_id}/{ext.base.frame_index} is unlabeled"
+                f"instance {ext.scenario_id}/{ext.frame_index} is unlabeled"
             )
 
 
 def _by_scenario(dataset, ids):
     keep = set(ids)
     subset = [ext for ext in dataset if ext.scenario_id in keep]
-    subset.sort(key=lambda ext: (ext.scenario_id, ext.base.frame_index))
+    subset.sort(key=lambda ext: (ext.scenario_id, ext.frame_index))
     return subset
 
 

@@ -949,6 +949,29 @@ _MALFORMED_INPUTS = {
     "edge-head-fractional": _edited_predicted(_set("edges", 0, "head", value=0.5)),
     "edge-tail-bool": _edited_predicted(_set("edges", 0, "tail", value=False)),
     "graph-frame-fractional": _edited_predicted(_set("frame", value=1.5)),
+    "frame-corner-case-text": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "corner_case", value="no")
+    ),
+    "state-braking-text": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 0, "state", "braking", value="no")
+    ),
+    "state-location-text": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 0, "state", "location", 0, value="-1.75")
+    ),
+    "state-heading-bool": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 0, "state", "heading", value=True)
+    ),
+    "state-velocity-bool": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 0, "state", "velocity", 1, value=False)
+    ),
+    "strip-center-text": _edited_corpus(
+        _set("scenarios", 0, "layout", "strips", 0, "center", value="-4.5")
+    ),
+    "strip-width-bool": _edited_corpus(
+        _set("scenarios", 0, "layout", "strips", 0, "width", value=True)
+    ),
+    "graph-corner-case-number": _edited_predicted(_set("corner_case", value=1)),
+    "node-location-text": _edited_predicted(_set("nodes", 0, "state", "location", 1, value="0")),
 }
 #: the key a case's message names
 _NAMED_KEYS = {
@@ -966,6 +989,15 @@ _NAMED_KEYS = {
     "edge-head-fractional": "head",
     "edge-tail-bool": "tail",
     "graph-frame-fractional": "frame",
+    "frame-corner-case-text": "corner_case",
+    "state-braking-text": "braking",
+    "state-location-text": "location",
+    "state-heading-bool": "heading",
+    "state-velocity-bool": "velocity",
+    "strip-center-text": "center",
+    "strip-width-bool": "width",
+    "graph-corner-case-number": "corner_case",
+    "node-location-text": "location",
 }
 
 
@@ -978,6 +1010,21 @@ def test_malformed_input_exits_3_without_a_traceback(pipeline, tmp_path, capsys,
     assert err["error"] == "schema_version_mismatch"
     assert err["message"].startswith("malformed ")
     assert _NAMED_KEYS.get(case, "") in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "perturb", "simulate"])
+def test_a_repeated_scenario_id_exits_3_naming_it(pipeline, tmp_path, capsys, command):
+    obj = read_json(pipeline["corpus"])
+    obj["scenarios"].append(obj["scenarios"][2])
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(obj))
+    extra = {"simulate": []}.get(command, ["--model", pipeline["model"]])
+    out = tmp_path / "out.json"
+    assert main([command, "--data", str(bad), *extra, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "schema_version_mismatch"
+    assert obj["scenarios"][2]["id"] in err["message"]
     assert not out.exists()
 
 

@@ -2,17 +2,22 @@
 
 Candidate tables, labels and compiled batches are built from arrays: one
 table per tuple of node categories, one membership test per labelling, and
-one stable sort per batch of attention edges.  Each is checked here, on
-random graphs, against the per-object computation it replaces, which this
-module keeps as the reference: equal arrays, in equal dtypes.
+one stable sort over the attention edges of many graphs.  Each is checked
+here, on random graphs, against the per-object computation it replaces,
+which this module keeps as the reference: equal arrays, in equal dtypes.
+Instances built from a corpus's frames, with no scene graph, are checked
+against instances built from the frames' scene graphs.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cornergraph import frames, scenarios
+from cornergraph.cli import main
 from cornergraph.extended import (
     ConsistentArgmax,
     ExtendedGraph,
@@ -24,6 +29,7 @@ from cornergraph.extended import (
     extend,
     label_candidates,
 )
+from cornergraph.frames import FrameSnapshot, PlacedActor, build_scene_graph
 from cornergraph.graphs import (
     DISTANCE_RELATIONS,
     ActorCategory,
@@ -38,10 +44,21 @@ from cornergraph.graphs import (
 )
 from cornergraph.model import (
     EDGE_FEATURE_SIZE,
+    ModelParams,
     compile_batch,
     cross_edge_feature,
     node_feature_vector,
+    save_checkpoint,
     self_edge_feature,
+)
+from cornergraph.scenarios import (
+    Scenario,
+    ScenarioTemplate,
+    corpus_instances,
+    generate_corpus,
+    ground_truth_graph,
+    to_instances,
+    write_corpus,
 )
 
 SELF = RelationCategory.SELF_STATE
@@ -267,3 +284,133 @@ def test_decoding_equals_the_per_object_decode(graph, data):
             decoded = decode_prediction(scored, mode)
             assert [e.key() for e in decoded.edges] == reference_decode(scored, mode)
             assert decoded.frame_index == 3 and decoded.is_corner_case
+
+
+# --- instances built from frames --------------------------------------------
+
+
+def assert_same_batch(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype, field.name
+        assert a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
+
+
+def graph_instances(scenario) -> list:
+    """The scenario's instances built from its frames' scene graphs."""
+    truth = ground_truth_graph(scenario)
+    return [
+        label_candidates(extend(build_scene_graph(frame), scenario.horizon, scenario.id), truth)
+        for frame in scenario.frames[:-1]
+    ]
+
+
+def check_against_graphs(corpus):
+    insts = corpus_instances(corpus)
+    want = [ext for scenario in corpus for ext in graph_instances(scenario)]
+    assert len(insts) == len(want)
+    # one batch of every instance, and one batch per instance
+    assert_same_batch(compile_batch(insts), compile_batch(want))
+    for ext, ref in zip(insts, want):
+        assert_same_batch(compile_batch([ext]), compile_batch([ref]))
+        assert ext.labels().dtype == np.int64
+        assert not ext.labels().flags.writeable
+        assert ext.labels().tobytes() == ref.labels().tobytes()
+        assert ext.table is ref.table
+        assert (ext.scenario_id, ext.target_frame) == (ref.scenario_id, ref.target_frame)
+        assert ext.frame_index == ref.frame_index
+        assert ext.base == ref.base
+        for array in ext.arrays:
+            assert not array.flags.writeable
+
+
+def test_corpus_instances_equal_the_graph_path_on_every_template():
+    corpus = generate_corpus(seed=41, count=18)
+    assert {scenario.template for scenario in corpus} == set(ScenarioTemplate)
+    check_against_graphs(corpus)
+
+
+def _placed(category, x, y, **state):
+    return PlacedActor(category, AgentState(location=(x, y), **state))
+
+
+def test_hand_made_frames_equal_the_graph_path(two_lane_layout):
+    """Frames no template makes: a static object, a traffic light in each
+    phase, a braking and a coasting car, and actors on strip edges (x = 0
+    lies on both lanes, x = -3.5 on the pavement and the lane)."""
+    lights = list(LightState)
+    frame_list = []
+    for t in range(len(lights) + 1):
+        actors = [
+            _placed(ActorCategory.EGO, -1.75, 4.0 * t, velocity=(0.0, 8.0), braking=t == 2),
+            _placed(ActorCategory.CAR, -1.75, 30.0 - t, velocity=(0.0, 6.0), braking=True),
+            _placed(ActorCategory.CAR, 1.75, 60.0 - 9.0 * t, heading=np.pi, velocity=(0.0, -18.0), braking=False),
+            _placed(ActorCategory.TRAFFIC_LIGHT, 4.5, 40.0, light_state=lights[t % len(lights)]),
+            _placed(ActorCategory.OBJECT, -4.5, 9.0 + 3.0 * t),
+            _placed(ActorCategory.BICYCLE, 0.0, 20.0 + t, velocity=(0.5, 3.0)),
+            _placed(ActorCategory.PEDESTRIAN, -3.5, 12.0, heading=np.pi / 2, velocity=(1.2, 0.0)),
+        ]
+        frame_list.append(
+            FrameSnapshot(
+                index=t, is_corner_case=t == len(lights), layout=two_lane_layout, actors=actors
+            )
+        )
+    scenario = Scenario(
+        id="hand-made",
+        template=ScenarioTemplate.RED_LIGHT_RUNNER,
+        seed=0,
+        index=0,
+        layout=two_lane_layout,
+        frames=tuple(frame_list),
+    )
+    graphs = [build_scene_graph(frame) for frame in frame_list]
+    relations = {e.relation for g in graphs for e in g.edges}
+    assert set(DISTANCE_RELATIONS) <= relations
+    # the ego's separation edge to the object, and the edge actors' strips
+    assert any(g.has_edge(0, r, 4) for g in graphs for r in DISTANCE_RELATIONS)
+    assert graphs[0].has_edge(5, RelationCategory.IS_IN, 8)
+    assert graphs[0].has_edge(6, RelationCategory.IS_IN, 7)
+    check_against_graphs([scenario])
+    scalars = [to_instances(scenario)[t].arrays.scalars for t in range(len(lights))]
+    assert sorted({float(x) for a in scalars for x in a}) == [0.0, 0.5, 1.0]
+
+
+def test_eval_and_train_build_no_scene_graph(tmp_path, monkeypatch, tiny_dims):
+    corpus_path = tmp_path / "corpus.json"
+    model_path = tmp_path / "model.json"
+    write_corpus(corpus_path, generate_corpus(seed=8, count=6))
+    save_checkpoint(model_path, ModelParams.initialize(tiny_dims, seed=1))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nencoder_hidden=8\ngat1_out=8\nmid_hidden=8\nmid_out=8\n")
+
+    built = []
+    build = frames.build_scene_graph
+    post_init = SceneGraph.__post_init__
+
+    def counted_build(frame):
+        built.append(frame)
+        return build(frame)
+
+    def counted_post_init(graph):
+        built.append(graph)
+        post_init(graph)
+
+    for module in (frames, scenarios):
+        monkeypatch.setattr(module, "build_scene_graph", counted_build)
+    monkeypatch.setattr(SceneGraph, "__post_init__", counted_post_init)
+    assert main([
+        "eval", "--data", str(corpus_path), "--model", str(model_path),
+        "--subset", "all", "--out", str(tmp_path / "eval.json"),
+    ]) == 0
+    assert main([
+        "train", "--config", str(cfg), "--data", str(corpus_path),
+        "--out", str(tmp_path / "trained.json"),
+    ]) == 0
+    assert built == []
+    # the counters see what the other commands build
+    assert main([
+        "perturb", "--data", str(corpus_path), "--model", str(model_path),
+        "--out", str(tmp_path / "decoded.jsonl"),
+    ]) == 0
+    assert built
