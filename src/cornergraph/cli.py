@@ -204,13 +204,23 @@ def _settings(cfg: dict, settings: type, what: str):
     return settings(**{f.name: _PARSERS[type(f.default)](cfg, f.name) for f in fields})
 
 
+def _corpus_instances(data, corpus) -> list:
+    """The instances of the corpus read from ``data``.  A scenario whose
+    regular frame places other actors than its terminal frame is malformed
+    input."""
+    try:
+        return scenarios.corpus_instances(corpus)
+    except NodeMismatch as err:
+        raise SchemaError(f"malformed corpus {data}: {err}") from err
+
+
 def _train_on_corpus(data, tc: TrainConfig, dims: ModelDims) -> tuple:
     """(parameters, log, instance count, scenario count) of training on the
     corpus at ``data``.  The instances, which hold their scenarios to build
     a scene graph on demand, are dropped on return, before the checkpoint is
     written."""
     corpus, _ = scenarios.read_corpus(data)
-    instances = scenarios.corpus_instances(corpus)
+    instances = _corpus_instances(data, corpus)
     params, log = train(instances, tc, dims)
     return params, log, len(instances), len(corpus)
 
@@ -300,7 +310,7 @@ def _score_subset(data, model_path, subset: str) -> tuple:
     corpus, _ = scenarios.read_corpus(data)
     obj, params = _load_checkpoint_obj(model_path)
     recorded = _recorded_split(obj)
-    chosen = scenarios.corpus_instances(_subset_scenarios(corpus, recorded, subset))
+    chosen = _corpus_instances(data, _subset_scenarios(corpus, recorded, subset))
     if not chosen:
         raise MissingInputError(f"subset {subset!r} selects no instances")
     probs, labels = pooled_predictions(params, chosen)

@@ -41,6 +41,9 @@ CATEGORY_ORDINAL = {cat: i for i, cat in enumerate(ActorCategory)}
 SPEED_SCALE = 30.0
 
 _LIGHT_SCALAR = {LightState.RED: 0.0, LightState.YELLOW: 0.5, LightState.GREEN: 1.0}
+#: every value ``state_scalar`` returns, ascending: the braking flag's two
+#: and the light phases'
+STATE_SCALARS = tuple(sorted({0.0, 1.0, *_LIGHT_SCALAR.values()}))
 _SELF_ORDINAL = RELATION_ORDINAL[RelationCategory.SELF_STATE]
 
 

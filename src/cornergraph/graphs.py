@@ -389,13 +389,22 @@ def json_float(obj: dict, key: str, default: float | None = None) -> float:
 
 
 def _json_pair(obj: dict, key: str) -> tuple:
-    """The first two entries of the list ``obj[key]``, each a JSON number,
-    as a pair of floats."""
+    """``obj[key]``, which must be a list of exactly two JSON numbers, as a
+    pair of floats."""
     value = obj[key]
-    x, y = value[0], value[1]
-    if type(x) not in _NUMBER_TYPES or type(y) not in _NUMBER_TYPES:
-        raise TypeError(f"{key} {value!r} is not a pair of numbers")
-    return (float(x), float(y))
+    if type(value) is list and len(value) == 2:
+        x, y = value
+        if type(x) in _NUMBER_TYPES and type(y) in _NUMBER_TYPES:
+            return (float(x), float(y))
+    raise TypeError(f"{key} {value!r} is not a pair of numbers")
+
+
+def json_str(obj: dict, key: str) -> str:
+    """``obj[key]``, which must be a JSON string: a number is not one."""
+    value = obj[key]
+    if type(value) is not str:
+        raise TypeError(f"{key} {value!r} is not a string")
+    return value
 
 
 def json_bool(obj: dict, key: str, default: bool | None = None) -> bool:

@@ -1,10 +1,11 @@
 """Link predictor over extended scene graphs.
 
 Pipeline: per-node and per-edge feature vectors are squeezed to scalars by
-small encoder MLPs; two attention layers (with an MLP between) propagate
-context over the base graph's edges; each candidate edge is scored by a small
-MLP over [head embedding | candidate-relation encoding | tail embedding] and
-squashed to a probability.
+small encoder MLPs (the edge and candidate encoders run once on the few
+distinct rows their inputs can take); two attention layers (with an MLP
+between) propagate context over the base graph's edges; each candidate edge
+is scored by a small MLP over [head embedding | candidate-relation encoding
+| tail embedding] and squashed to a probability.
 
 Message direction: a graph edge (head -> tail) delivers the head's embedding
 to the tail, so a node aggregates over its incoming edges.  Every node needs
@@ -25,6 +26,7 @@ from .autodiff import MissingSelfEdge, ShapeMismatch, Tensor, active_tape
 from .extended import (
     CATEGORY_ORDINAL,
     RELATIONS,
+    STATE_SCALARS,
     ExtendedGraph,
     instance_arrays,
     speed_feature,
@@ -73,32 +75,41 @@ def cross_edge_feature(relation: RelationCategory) -> np.ndarray:
 def self_edge_feature(node: Node) -> np.ndarray:
     """Self flag plus one state scalar: braking flag for vehicles, light phase
     for traffic lights, zero otherwise."""
+    return _self_row(state_scalar(node.state))
+
+
+def _self_row(scalar: float) -> np.ndarray:
     out = np.zeros(EDGE_FEATURE_SIZE)
     out[7] = 1.0
-    out[8] = state_scalar(node.state)
+    out[8] = scalar
     return out
 
 
 #: node features by category ordinal, at zero speed
 _NODE_ROWS = np.stack([node_feature_vector(Node(0, cat)) for cat in ActorCategory])
-#: edge features by relation ordinal: a cross relation's one-hot, and for
-#: SelfState the self flag with a zero state scalar
-_EDGE_ROWS = np.stack(
+#: edge features by relation ordinal, the candidate encoder's inputs: a cross
+#: relation's one-hot, and for SelfState the self flag with a zero state scalar
+CANDIDATE_TABLE = np.stack(
     [
-        self_edge_feature(Node(0, ActorCategory.ROAD))
-        if relation is RelationCategory.SELF_STATE
-        else cross_edge_feature(relation)
+        _self_row(0.0) if relation is RelationCategory.SELF_STATE else cross_edge_feature(relation)
         for relation in RELATIONS
     ]
 )
+_STATE_LEVELS = np.array(STATE_SCALARS)
+#: the attention edge encoder's inputs: the cross relations' one-hots by
+#: ordinal, then the self flag with each state scalar, ascending.  SelfState
+#: is the last ordinal, so an edge's row is its ordinal plus its state
+#: scalar's rank (a cross edge's scalar is zero, rank 0).
+EDGE_TABLE = np.concatenate([CANDIDATE_TABLE[:-1], [_self_row(s) for s in STATE_SCALARS]])
 
 
-def _edge_features(ordinals: np.ndarray, scalars: np.ndarray) -> np.ndarray:
-    """Edge feature rows: each ordinal's row of the constant table, with the
-    state scalar in its last column."""
-    attrs = _EDGE_ROWS[ordinals]
-    attrs[:, 8] = scalars
-    return attrs
+def edge_table_rows(ordinals: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+    """The ``EDGE_TABLE`` row of each attention edge, given its relation
+    ordinal and state scalar."""
+    ranks = np.searchsorted(_STATE_LEVELS, scalars)
+    if not np.array_equal(_STATE_LEVELS[np.minimum(ranks, len(STATE_SCALARS) - 1)], scalars):
+        raise ValueError(f"state scalars must be among {STATE_SCALARS}")
+    return ordinals + ranks
 
 
 #: ``dims`` keys of older checkpoints, with the one value each can hold
@@ -295,16 +306,18 @@ class GraphBatch:
     it, so no edge or candidate crosses graphs and one pass over the union
     equals one pass per graph.  Candidate rows of graph ``k`` are
     ``bounds[k]:bounds[k + 1]``.  Features are rows of constant tables,
-    picked by the ordinals here when the batch is encoded, so a batch kept
-    for many passes holds no feature matrix.
+    picked by the indices here when the batch is encoded, so a batch kept
+    for many passes holds no feature matrix.  Every node has a self-edge
+    and the edges are sorted by destination, so node ``i``'s incoming edges
+    are ``starts[i]:starts[i + 1]``.
     """
 
     categories: np.ndarray  # (n,) node category ordinals
     speeds: np.ndarray  # (n,) node speeds normalized to [0, 1]
     dst: np.ndarray  # (m,) attention edges, in (dst, src, relation) order
     src: np.ndarray  # (m,)
-    edge_ordinals: np.ndarray  # (m,) relation ordinals of the attention edges
-    edge_scalars: np.ndarray  # (m,) state scalars of self-edges, zero elsewhere
+    edge_rows: np.ndarray  # (m,) ``EDGE_TABLE`` rows of the attention edges
+    starts: np.ndarray  # (n,) each node's first incoming edge
     kg_ordinals: np.ndarray  # (q,) candidate relation ordinals
     heads: np.ndarray  # (q,)
     tails: np.ndarray  # (q,)
@@ -316,20 +329,13 @@ class GraphBatch:
         feats[:, 10] = self.speeds
         return feats
 
-    def edge_features(self) -> np.ndarray:
-        """(m, EDGE_FEATURE_SIZE) per attention edge."""
-        return _edge_features(self.edge_ordinals, self.edge_scalars)
-
-    def candidate_features(self) -> np.ndarray:
-        """(q, EDGE_FEATURE_SIZE): relation one-hot per candidate."""
-        return _EDGE_ROWS[self.kg_ordinals]
-
 
 def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
     """Compile extended graphs into one ``GraphBatch``: concatenate each
     graph's candidate table and arrays, its node ids shifted by its node
     offset.  Each graph's attention edges are in (dst, src, relation) order
-    already, and the offsets keep them so across graphs."""
+    already, and the offsets keep them so across graphs; the edges' table
+    rows and the nodes' segment starts are found here, once per batch."""
     tables = [ext.table for ext in instances]
     arrays = instance_arrays(instances)
     nodes = [len(a.speeds) for a in arrays]
@@ -337,13 +343,17 @@ def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
     counts = [len(t) for t in tables]
     node_shift = np.repeat(offsets, [len(a.dst) for a in arrays])
     shift = np.repeat(offsets, counts)
+    dst = np.concatenate([a.dst for a in arrays]) + node_shift
     return GraphBatch(
         categories=np.concatenate([t.categories for t in tables]),
         speeds=np.concatenate([a.speeds for a in arrays]),
-        dst=np.concatenate([a.dst for a in arrays]) + node_shift,
+        dst=dst,
         src=np.concatenate([a.src for a in arrays]) + node_shift,
-        edge_ordinals=np.concatenate([a.ordinals for a in arrays]),
-        edge_scalars=np.concatenate([a.scalars for a in arrays]),
+        edge_rows=edge_table_rows(
+            np.concatenate([a.ordinals for a in arrays]),
+            np.concatenate([a.scalars for a in arrays]),
+        ),
+        starts=_segment_starts(dst, sum(nodes)),
         kg_ordinals=np.concatenate([t.ordinals for t in tables]),
         heads=np.concatenate([t.heads for t in tables]) + shift,
         tails=np.concatenate([t.tails for t in tables]) + shift,
@@ -351,7 +361,18 @@ def compile_batch(instances: Sequence[ExtendedGraph]) -> GraphBatch:
     )
 
 
-def attend(h, dst, src, p, theta, theta_p, att):
+def _segment_starts(dst: np.ndarray, n: int) -> np.ndarray:
+    """Index of each of nodes ``0..n-1``'s first entry in the sorted ``dst``."""
+    return np.searchsorted(dst, np.arange(n))
+
+
+def _scatter(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, w): the (m, w) ``rows`` summed by ``index``, one ``bincount`` per
+    column."""
+    return np.array([np.bincount(index, weights=col, minlength=n) for col in rows.T]).T
+
+
+def attend(h, dst, src, p, theta, theta_p, att, starts=None):
     """One attention layer over a fixed edge structure.  Returns the output
     and its backward, which maps the output's gradient to those of ``h``,
     ``p``, ``theta``, ``theta_p`` and ``att``.
@@ -361,50 +382,70 @@ def attend(h, dst, src, p, theta, theta_p, att):
     encoding], passed through a leaky rectifier; scores normalize over each
     destination's incoming edges and weight the source embeddings, which are
     then summed per destination.
+
+    The edges must be sorted by destination and every node needs a
+    self-edge, so node ``i``'s incoming edges are the segment
+    ``starts[i]:starts[i + 1]`` (found from ``dst`` when not given).  The
+    layer works at the narrower of the input and output widths.  When the
+    input is narrower, the attention vector's node parts are pulled back
+    through the transform, and the messages are summed before it;
+    otherwise the inputs are transformed first.  Either way, the scores
+    come from two projections per node, not per edge.
     """
     n = h.shape[0]
+    if (dst[1:] < dst[:-1]).any():
+        raise ValueError("attention edges must be sorted by destination")
     covered = np.zeros(n, dtype=bool)
     covered[dst[dst == src]] = True
     if not covered.all():
         raise MissingSelfEdge(f"nodes {np.flatnonzero(~covered).tolist()} have no self-edge")
-    m, k = dst.shape[0], theta.shape[0]
-    att_row = att.reshape(1, -1)
-    z = h @ theta.T
-    zj = z[src]
-    stacked = np.concatenate([z[dst], zj, p @ theta_p.T], axis=1)
-    scores = (stacked @ att_row.T).reshape(-1)
+    if starts is None:
+        starts = _segment_starts(dst, n)
+    k = theta.shape[0]
+    # the attention vector's dst and src parts, as rows, and its edge part
+    a_nodes, a_p = att[: 2 * k].reshape(2, k), att[2 * k :]
+    narrow = h.shape[1] <= k
+    # the rows the messages carry, and the attention's node parts in their space
+    if narrow:
+        x, u = h, a_nodes @ theta
+    else:
+        x, u = h @ theta.T, a_nodes
+    c_p = theta_p[:, 0] @ a_p
+    s_dst, s_src = u @ x.T
+    scores = s_dst[dst] + s_src[src] + p[:, 0] * c_p
     positive = scores > 0
     raw = np.where(positive, scores, LEAKY_SLOPE * scores)
-    # every node has a self-edge, so the softmax groups are the destination
-    # ids 0..n-1 themselves
-    peaks = np.full(n, -np.inf)
-    np.maximum.at(peaks, dst, raw)
-    exps = np.exp(raw - peaks[dst])
-    alpha = exps / np.bincount(dst, weights=exps, minlength=n)[dst]
-    out = np.zeros((n, k))
-    np.add.at(out, dst, zj * alpha[:, None])
+    exps = np.exp(raw - np.maximum.reduceat(raw, starts)[dst])
+    alpha = exps / np.add.reduceat(exps, starts)[dst]
+    x_src = x[src]
+    summed = np.add.reduceat(x_src * alpha[:, None], starts)
+    out = summed @ theta.T if narrow else summed
 
     def backward(g):
-        g_msg = g[dst]
-        g_alpha = (g_msg * zj).sum(axis=1)
-        weighted = np.bincount(dst, weights=g_alpha * alpha, minlength=n)
-        g_raw = alpha * (g_alpha - weighted[dst])
-        g_scores = (g_raw * np.where(positive, 1.0, LEAKY_SLOPE)).reshape(m, 1)
-        g_stacked = g_scores @ att_row
-        g_zp = g_stacked[:, 2 * k :]
-        # z feeds the scores as z[dst] and z[src] and the messages as z[src]:
-        # each gather scatters into its own array, and the two are added
-        g_src = np.zeros_like(z)
-        np.add.at(g_src, src, g_msg * alpha[:, None] + g_stacked[:, k : 2 * k])
-        g_dst = np.zeros_like(z)
-        np.add.at(g_dst, dst, g_stacked[:, :k])
-        g_z = g_src + g_dst
+        g_summed = g @ theta if narrow else g
+        g_msg = g_summed[dst]
+        g_alpha = (g_msg * x_src).sum(axis=1)
+        weighted = np.add.reduceat(g_alpha * alpha, starts)
+        g_scores = alpha * (g_alpha - weighted[dst]) * np.where(positive, 1.0, LEAKY_SLOPE)
+        # the scores' node projections, summed by destination and by source
+        g_s = np.array(
+            [np.add.reduceat(g_scores, starts), np.bincount(src, weights=g_scores, minlength=n)]
+        )
+        g_x = _scatter(src, g_msg * alpha[:, None], n) + g_s.T @ u
+        g_u = g_s @ x
+        if narrow:
+            g_h, g_theta = g_x, g.T @ summed + a_nodes.T @ g_u
+            g_a_nodes = g_u @ theta.T
+        else:
+            g_h, g_theta = g_x @ theta, g_x.T @ h
+            g_a_nodes = g_u
+        g_c = g_scores @ p[:, 0]
         return (
-            g_z @ theta,
-            g_zp @ theta_p,
-            g_z.T @ h,
-            g_zp.T @ p,
-            (g_scores.T @ stacked).reshape(-1),
+            g_h,
+            (g_scores * c_p)[:, None],
+            g_theta,
+            (a_p * g_c)[:, None],
+            np.concatenate([g_a_nodes.reshape(-1), theta_p[:, 0] * g_c]),
         )
 
     return out, backward
@@ -412,12 +453,13 @@ def attend(h, dst, src, p, theta, theta_p, att):
 
 def gat_layer(h, edges: Sequence, theta, theta_p, att) -> Tensor:
     """Attention layer over explicit ``(destination, source, encoding)`` edges,
-    forward only.
+    in any order, forward only.
 
     ``h`` may be a 1-D vector of per-node scalars or an (n, d) matrix; the
     result is (n, out).  Every node must appear in a self-edge.
     """
     h = np.asarray(h, dtype=np.float64).reshape(len(h), -1)
+    edges = sorted(edges, key=lambda e: e[0])
     dst = np.array([e[0] for e in edges], dtype=np.int64)
     src = np.array([e[1] for e in edges], dtype=np.int64)
     p = np.array([[float(e[2])] for e in edges])
@@ -433,11 +475,8 @@ def _triple_input(h2: np.ndarray, p_kg: np.ndarray, heads: np.ndarray, tails: np
     out = np.concatenate([h2[heads], p_kg, h2[tails]], axis=1)
 
     def backward(g):
-        g_heads = np.zeros_like(h2)
-        np.add.at(g_heads, heads, g[:, :k])
-        g_tails = np.zeros_like(h2)
-        np.add.at(g_tails, tails, g[:, -k:])
-        return g_tails + g_heads, g[:, k:-k]
+        n = h2.shape[0]
+        return _scatter(tails, g[:, -k:], n) + _scatter(heads, g[:, :k], n), g[:, k:-k]
 
     return out, backward
 
@@ -467,13 +506,22 @@ def _into(params: ModelParams, prefix: str, names: tuple, grads: tuple) -> tuple
     return grads[:n]
 
 
+def _table_encoder(params: ModelParams, prefix: str, table: np.ndarray, rows: np.ndarray):
+    """``prefix``'s MLP run once on each row of a constant ``table``, then
+    picked by ``rows``.  Its backward sums the picks' gradients into their
+    table rows and runs the MLP's backward once, on the table."""
+    encoded, backward = _mlp(params, prefix, table)
+    return encoded[rows], lambda g: backward(_scatter(rows, g, len(table)))
+
+
 def encode(params: ModelParams, batch: GraphBatch, backs: list | None):
     """Scalar encodings ``(h, p, p_kg)``, (n,1), (m,1) and (q,1), of the
     batch's nodes, attention edges and candidates; the encoders' backwards
-    go on ``backs`` unless that is None."""
+    go on ``backs`` unless that is None.  Edges and candidates take a few
+    distinct feature rows, so their encoders run on those rows' tables."""
     h = _kept(_mlp(params, "enc_node", batch.node_features()), backs)
-    p = _kept(_mlp(params, "enc_edge", batch.edge_features()), backs)
-    p_kg = _kept(_mlp(params, "enc_kg", batch.candidate_features()), backs)
+    p = _kept(_table_encoder(params, "enc_edge", EDGE_TABLE, batch.edge_rows), backs)
+    p_kg = _kept(_table_encoder(params, "enc_kg", CANDIDATE_TABLE, batch.kg_ordinals), backs)
     return h, p, p_kg
 
 
@@ -488,14 +536,14 @@ def forward(params: ModelParams, ext: ExtendedGraph | GraphBatch) -> Tensor:
     batch = ext if isinstance(ext, GraphBatch) else compile_batch([ext])
     tape = active_tape()
     backs = None if tape is None else []
-    dst, src = batch.dst, batch.src
+    dst, src, starts = batch.dst, batch.src, batch.starts
     h, p, p_kg = encode(params, batch, backs)
 
     gat1 = (params[f"gat1.{name}"].data for name in _GAT_WEIGHTS)
-    h1 = _kept(attend(h, dst, src, p, *gat1), backs)
+    h1 = _kept(attend(h, dst, src, p, *gat1, starts), backs)
     z = _kept(_elu(_kept(_mlp(params, "mid", h1), backs)), backs)
     gat2 = (params[f"gat2.{name}"].data for name in _GAT_WEIGHTS)
-    h2 = _kept(attend(z, dst, src, p, *gat2), backs)
+    h2 = _kept(attend(z, dst, src, p, *gat2, starts), backs)
 
     triples = _kept(_triple_input(h2, p_kg, batch.heads, batch.tails), backs)
     probs = _kept(_probabilities(_kept(_mlp(params, "triple", triples), backs)), backs)

@@ -19,7 +19,6 @@ from functools import partial
 import numpy as np
 
 from .extended import (
-    NODE_MISMATCH,
     ExtendedGraph,
     NodeMismatch,
     candidate_table,
@@ -48,6 +47,7 @@ from .graphs import (
     decoder,
     json_bool,
     json_int,
+    json_str,
     read_json,
     state_from_json,
     state_to_json,
@@ -421,13 +421,14 @@ def generate_corpus(seed: int, count: int = 600) -> list:
 
 
 def _of_frame(fn, scenario: Scenario, index: int):
-    """``fn`` of the scenario's frame ``index``.  A frame that describes no
-    scene raises its ``InvalidFrame`` or ``DegenerateGeometry`` with the
-    scenario id and the frame index in front of the message."""
+    """``fn`` of the scenario's frame at position ``index``.  A frame that
+    describes no scene raises its ``InvalidFrame`` or ``DegenerateGeometry``
+    with the scenario id and the frame's own index in front of the message."""
     try:
         return fn(scenario.frames[index])
     except (InvalidFrame, DegenerateGeometry) as err:
-        raise type(err)(f"scenario {scenario.id}, frame {index}: {err}") from err
+        frame = scenario.frames[index].index
+        raise type(err)(f"scenario {scenario.id}, frame {frame}: {err}") from err
 
 
 def frame_graph(scenario: Scenario, index: int) -> SceneGraph:
@@ -478,7 +479,10 @@ def corpus_instances(scenarios) -> list:
             edges.append(_of_frame(frame_rows, scenario, index))
             frame = scenario.frames[index]
             if _node_categories(frame) != categories:
-                raise NodeMismatch(NODE_MISMATCH)
+                raise NodeMismatch(
+                    f"scenario {scenario.id}, frame {frame.index}: places other actors "
+                    f"than its terminal frame {scenario.frames[last].index}"
+                )
             states.append(_node_states(frame))
         if last:
             table = candidate_table(categories)
@@ -565,7 +569,7 @@ def scenario_from_json(obj: dict) -> Scenario:
     if not frames:
         raise ValueError(f"scenario {obj.get('id')!r} holds no frames; each holds at least one")
     return Scenario(
-        id=str(obj["id"]),
+        id=json_str(obj, "id"),
         template=ScenarioTemplate(obj["template"]),
         seed=json_int(obj, "seed"),
         index=json_int(obj, "index"),

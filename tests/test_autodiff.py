@@ -7,6 +7,7 @@ from cornergraph.model import (
     _elu,
     _mlp,
     _probabilities,
+    _table_encoder,
     _triple_input,
     attend,
     forward,
@@ -81,12 +82,26 @@ def _attend(h, p, theta, theta_p, att):
     return attend(h, DST, SRC, p, theta, theta_p, att)
 
 
+# picks of a five-row table: row 2 three times, row 0 twice, rows 1 and 4
+# never
+TABLE_ROWS = np.array([2, 0, 2, 3, 2, 0])
+
+
+def _table_encoder_block(table, *weights):
+    return _table_encoder(_blocks(weights), "blk", table, TABLE_ROWS)
+
+
 BLOCKS = {
     "mlp": (
         lambda x, *weights: _mlp(_blocks(weights), "blk", x),
         [(5, 3), (4, 3), (4,), (2, 4), (2,)],
     ),
+    # messages summed before the transform (input narrower) and after it
     "attend": (_attend, [(5, 2), (DST.size, 1), (3, 2), (3, 1), (9,)]),
+    "attend_wide_input": (_attend, [(5, 3), (DST.size, 1), (2, 3), (2, 1), (6,)]),
+    # one output column, as in the model, and two
+    "table_encoder": (_table_encoder_block, [(5, 3), (4, 3), (4,), (1, 4), (1,)]),
+    "table_encoder_wide": (_table_encoder_block, [(5, 3), (4, 3), (4,), (2, 4), (2,)]),
     "triple_input": (
         lambda h2, p_kg: _triple_input(h2, p_kg, HEADS, TAILS),
         [(5, 1), (HEADS.size, 1)],
@@ -100,13 +115,29 @@ def test_fused_op_gradients_match_central_differences(name):
     block, shapes = BLOCKS[name]
     rng = np.random.default_rng(5)
     arrays = [rng.normal(size=shape) for shape in shapes]
-    if name == "attend":
+    if name.startswith("attend"):
         h, p, theta, theta_p, att = arrays
         z = h @ theta.T
         stacked = np.concatenate([z[DST], z[SRC], p @ theta_p.T], axis=1)
         # the leaky rectifier's kink stays outside the difference window
         assert np.abs(stacked @ att).min() > 1e-3
     check_against_fd(block, arrays, seed=6)
+
+
+def test_table_rows_no_edge_picks_get_no_gradient():
+    rng = np.random.default_rng(15)
+    arrays = [rng.normal(size=shape) for shape in BLOCKS["table_encoder"][1]]
+    out, backward = _table_encoder_block(*arrays)
+    g_table = backward(rng.normal(size=out.shape))[0]
+    assert not g_table[[1, 4]].any()
+    assert g_table[[0, 2, 3]].all()
+
+
+def test_attend_rejects_edges_not_sorted_by_destination():
+    h, p, theta, theta_p, att = _attend_inputs(16)
+    order = np.arange(DST.size)[::-1]
+    with pytest.raises(ValueError, match="sorted by destination"):
+        attend(h, DST[order], SRC[order], p[order], theta, theta_p, att)
 
 
 def _attend_inputs(seed):

@@ -846,15 +846,39 @@ def _report_of(eval_key, scr_key):
     return argv
 
 
-def _edited_corpus(edit):
+def _edited_corpus(edit, command="simulate"):
     def argv(pipeline, tmp_path):
         obj = read_json(pipeline["corpus"])
         edit(obj)
         bad = tmp_path / "corpus.json"
         bad.write_text(json.dumps(obj))
-        return ["simulate", "--data", str(bad), "--profiles", "Normal"]
+        extra = {
+            "simulate": ["--profiles", "Normal"],
+            "eval": ["--model", pipeline["model"], "--subset", "all"],
+            "train": ["--config", pipeline["train_cfg"]],
+        }[command]
+        return [command, "--data", str(bad), *extra]
 
     return argv
+
+
+def _recast_frame_1(obj):
+    """Scenario 0, renamed, places one actor fewer in its regular frame 1."""
+    scenario = obj["scenarios"][0]
+    scenario["id"] = "recast"
+    scenario["frames"][1]["actors"].pop()
+
+
+def _renumber_frames(obj):
+    """Scenario 0's frames numbered from 10, so a frame's index is not its
+    position."""
+    for position, frame in enumerate(obj["scenarios"][0]["frames"]):
+        frame["index"] = 10 + position
+
+
+def _recast_renumbered_frame_1(obj):
+    _renumber_frames(obj)
+    _recast_frame_1(obj)
 
 
 def _edited_predicted(edit):
@@ -972,6 +996,16 @@ _MALFORMED_INPUTS = {
     ),
     "graph-corner-case-number": _edited_predicted(_set("corner_case", value=1)),
     "node-location-text": _edited_predicted(_set("nodes", 0, "state", "location", 1, value="0")),
+    "frame-other-actors-eval": _edited_corpus(_recast_frame_1, "eval"),
+    "frame-other-actors-train": _edited_corpus(_recast_frame_1, "train"),
+    "frame-other-actors-renumbered": _edited_corpus(_recast_renumbered_frame_1, "eval"),
+    "scenario-id-number": _edited_corpus(_set("scenarios", 0, "id", value=17)),
+    "state-location-three-entries": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 0, "state", "location", value=[-1.75, 0.0, "x"])
+    ),
+    "state-velocity-three-entries": _edited_corpus(
+        _set("scenarios", 0, "frames", 0, "actors", 0, "state", "velocity", value=[0.0, 5.0, 0.0])
+    ),
 }
 #: the key a case's message names
 _NAMED_KEYS = {
@@ -998,6 +1032,12 @@ _NAMED_KEYS = {
     "strip-width-bool": "width",
     "graph-corner-case-number": "corner_case",
     "node-location-text": "location",
+    "frame-other-actors-eval": "scenario recast, frame 1:",
+    "frame-other-actors-train": "scenario recast, frame 1:",
+    "frame-other-actors-renumbered": "scenario recast, frame 11: places other actors than its terminal frame 1",
+    "scenario-id-number": "id",
+    "state-location-three-entries": "location",
+    "state-velocity-three-entries": "velocity",
 }
 
 
@@ -1074,22 +1114,33 @@ def corpus_904(tmp_path_factory):
     return read_json(path)
 
 
-def _off_the_road(corpus, tmp_path, scenario, frame):
-    """``corpus`` with the second actor of one frame at x = 99, written to
-    ``tmp_path``; returns its path and the scenario id."""
+def _off_the_road(corpus, tmp_path, scenario, frame, first=0):
+    """``corpus`` with the second actor of one frame at x = 99 and that
+    scenario's frames numbered from ``first``, written to ``tmp_path``;
+    returns its path and the scenario id."""
     obj = json.loads(json.dumps(corpus))
+    for position, raw in enumerate(obj["scenarios"][scenario]["frames"]):
+        raw["index"] = first + position
     obj["scenarios"][scenario]["frames"][frame]["actors"][1]["state"]["location"][0] = 99.0
     bad = tmp_path / "corpus.json"
     bad.write_text(json.dumps(obj))
     return str(bad), obj["scenarios"][scenario]["id"]
 
 
-@pytest.mark.parametrize("command", ["eval", "perturb", "simulate"])
+@pytest.mark.parametrize(
+    "command, first",
+    [
+        pytest.param(command, first, id=command + ("-renumbered" if first else ""))
+        for first in (0, 10)
+        for command in ("eval", "perturb", "simulate")
+    ],
+)
 def test_frame_error_names_its_scenario_and_frame(
-    pipeline, corpus_904, tmp_path, capsys, command
+    pipeline, corpus_904, tmp_path, capsys, command, first
 ):
-    # scenario 5 is a cyclist cut-in; its bicycle leaves the road in frame 2
-    bad, scenario_id = _off_the_road(corpus_904, tmp_path, 5, 2)
+    # scenario 5 is a cyclist cut-in; its bicycle leaves the road in the
+    # frame at position 2, which the message names by its own index
+    bad, scenario_id = _off_the_road(corpus_904, tmp_path, 5, 2, first)
     assert scenario_id == "OncomingCyclistCutIn-s904-0005"
     extra = {
         "eval": ["--model", pipeline["model"], "--subset", "all"],
@@ -1101,7 +1152,7 @@ def test_frame_error_names_its_scenario_and_frame(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "schema_version_mismatch"
     assert err["message"] == (
-        f"scenario {scenario_id}, frame 2: Bicycle at x=99.00 lies in no road element"
+        f"scenario {scenario_id}, frame {first + 2}: Bicycle at x=99.00 lies in no road element"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json"]
 

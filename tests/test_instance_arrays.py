@@ -43,7 +43,9 @@ from cornergraph.graphs import (
     licensed,
 )
 from cornergraph.model import (
+    CANDIDATE_TABLE,
     EDGE_FEATURE_SIZE,
+    EDGE_TABLE,
     ModelParams,
     compile_batch,
     cross_edge_feature,
@@ -257,8 +259,8 @@ def test_compile_batch_equals_the_per_object_compile(chunk, data):
             "node_feats": got.node_features(),
             "dst": got.dst,
             "src": got.src,
-            "edge_attrs": got.edge_features(),
-            "kg_attrs": got.candidate_features(),
+            "edge_attrs": EDGE_TABLE[got.edge_rows],
+            "kg_attrs": CANDIDATE_TABLE[got.kg_ordinals],
             "heads": got.heads,
             "tails": got.tails,
             "bounds": got.bounds,

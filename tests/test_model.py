@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cornergraph.extended import extend
+from cornergraph.extended import STATE_SCALARS, extend
 from cornergraph.frames import build_scene_graph
 from cornergraph.graphs import (
     ActorCategory,
@@ -22,6 +22,7 @@ from cornergraph.model import (
     DEFAULT_DIMS,
     DEFAULT_PARAM_COUNT,
     EDGE_FEATURE_SIZE,
+    EDGE_TABLE,
     FEATURE_LAYOUT_ID,
     NODE_FEATURE_SIZE,
     ModelDims,
@@ -31,6 +32,7 @@ from cornergraph.model import (
     checkpoint_to_json,
     compile_batch,
     cross_edge_feature,
+    edge_table_rows,
     expected_param_count,
     forward,
     gat_layer,
@@ -98,6 +100,24 @@ def test_gat_layer_matches_dense_oracle(n):
     got = gat_layer(h, edges, theta, theta_p, att).data
     want = dense_attention_oracle(h, edges, theta, theta_p, att)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1, 4), (2, 3), (4, 2), (5, 1)])
+def test_gat_layer_matches_dense_oracle_in_both_aggregation_orders(d_in, d_out):
+    # messages are summed before the transform when the input is narrower,
+    # after it otherwise; the edges may come in any order
+    rng = np.random.default_rng(10 * d_in + d_out)
+    n = 5
+    h = rng.normal(size=(n, d_in))
+    theta = rng.normal(size=(d_out, d_in))
+    theta_p = rng.normal(size=(d_out, 1))
+    att = rng.normal(size=3 * d_out)
+    edges = random_edge_structure(rng, n)
+    want = dense_attention_oracle(h, edges, theta, theta_p, att)
+    shuffled = [edges[i] for i in rng.permutation(len(edges))]
+    for order in (edges, shuffled):
+        got = gat_layer(h, order, theta, theta_p, att).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_gat_layer_accepts_scalar_node_values():
@@ -180,10 +200,45 @@ def test_self_edge_features_encode_state():
     assert self_edge_feature(light)[8] == pytest.approx(0.5)
 
 
+def test_edge_table_rows_equal_the_feature_rows(two_lane_layout):
+    """Each (ordinal, state scalar) pair of a graph's attention edges picks
+    the table row equal to its feature row: a traffic light in each phase,
+    a braking and a coasting car, and nodes without a state."""
+    light = lambda phase: AgentState((4.5, 40.0), 0.0, light_state=phase)  # noqa: E731
+    nodes = (
+        Node(0, ActorCategory.EGO, AgentState((-1.75, 0.0), 0.0, (0.0, 8.0), braking=True)),
+        Node(1, ActorCategory.CAR, AgentState((-1.75, 30.0), 0.0, (0.0, 6.0), braking=False)),
+        *(Node(2 + i, ActorCategory.TRAFFIC_LIGHT, light(p)) for i, p in enumerate(LightState)),
+        Node(5, ActorCategory.LANE),
+        Node(6, ActorCategory.ROAD),
+    )
+    edges = [Edge(i, RelationCategory.SELF_STATE, i) for i in range(5)] + [
+        Edge(0, RelationCategory.UNSAFE_DISTANCE, 1),
+        Edge(1, RelationCategory.AT_REAR_OF, 0),
+        Edge(0, RelationCategory.IS_IN, 5),
+        Edge(5, RelationCategory.IS_IN, 6),
+    ]
+    graph = SceneGraph(nodes, sort_edges(edges))
+    arrays = extend(graph, 0).arrays
+    rows = edge_table_rows(arrays.ordinals, arrays.scalars)
+    for d, s, row in zip(arrays.dst, arrays.src, rows):
+        if d == s:
+            want = self_edge_feature(nodes[s])
+        else:
+            (edge,) = [e for e in edges if (e.tail, e.head) == (d, s)]
+            want = cross_edge_feature(edge.relation)
+        np.testing.assert_array_equal(EDGE_TABLE[row], want)
+    # every self row of the table is reached, one per state scalar
+    assert set(range(7, len(EDGE_TABLE))) <= set(rows.tolist())
+    assert EDGE_TABLE[7:, 8].tolist() == list(STATE_SCALARS) == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError, match="state scalars"):
+        edge_table_rows(np.array([7]), np.array([0.25]))
+
+
 def test_attention_graph_adds_synthetic_self_loops(simple_frame):
     g = build_scene_graph(simple_frame)
     batch = compile_batch([extend(g, 0)])
-    dst, src, attrs = batch.dst, batch.src, batch.edge_features()
+    dst, src, attrs = batch.dst, batch.src, EDGE_TABLE[batch.edge_rows]
     n = len(g.nodes)
     self_rows = [k for k in range(len(dst)) if dst[k] == src[k]]
     assert {int(dst[k]) for k in self_rows} == set(range(n))
